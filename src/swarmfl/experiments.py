@@ -312,7 +312,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
                 f"session failed: algorithm={algorithm} "
                 f"configuration={cell.label!r} run={run} seed={seed}"
             ) from exc
-        return task, records
+        return (algorithm, cfg_index, run), (seed, records)
 
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -326,10 +326,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
         for cfg_index, cell in enumerate(cells):
             finals = []
             for run in range(config.runs):
-                seed = hash64(
-                    config.base_seed, ALGORITHM_INDEX[algorithm], cfg_index, run
-                )
-                records = results[(algorithm, cfg_index, run, seed)]
+                seed, records = results[(algorithm, cfg_index, run)]
                 traces.append(
                     RunTrace(
                         algorithm=algorithm,

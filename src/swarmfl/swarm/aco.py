@@ -5,13 +5,18 @@ replacement, where eta is the per-client fitness shifted to a positive
 floor.  Pheromone evaporates each iteration, the iteration-best subset gets
 a fixed deposit, and trail levels are clamped to a bounded band so no client
 is ever permanently ruled in or out.  One evaluation per ant per iteration.
+
+All ants of an iteration are drawn at once: one Exp(1) race per ant and
+client, each ant keeping the k clients whose races end first
+(``support.keyed_sample``), which has the same distribution as the
+step-by-step roulette.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, pheromone_construct
+from .support import BatchObjective, BestTracker, keyed_sample
 
 EVAL_FACTOR = 1
 
@@ -40,10 +45,8 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     tracker = BestTracker()
     for _ in range(iterations):
-        rows = np.empty((population, k), dtype=int)
-        for a in range(population):
-            subset = pheromone_construct(tau, eta, alpha, beta, k, rng)
-            rows[a] = sorted(subset)
+        races = rng.standard_exponential((population, n))
+        rows = np.sort(keyed_sample(tau**alpha * eta**beta, races, k), axis=1)
         values = objective.value_rows(rows)
         tracker.update(rows, values)
 

@@ -6,8 +6,9 @@ brighter neighbor inside its adaptive decision radius.  A glowworm with no
 brighter neighbor is a local champion; instead of standing still (which
 would stop producing new candidate subsets entirely) it probes a uniform
 random offset of scale ``idle_probe`` around itself.  Movement decisions use
-a synchronous snapshot of the swarm.  One evaluation per glowworm per
-iteration.
+a synchronous snapshot of the swarm, so a whole iteration is one step: one
+pairwise-distance matrix, one roulette per row over the brighter neighbors,
+and one block of probes.  One evaluation per glowworm per iteration.
 """
 
 from __future__ import annotations
@@ -31,12 +32,47 @@ DEFAULTS = {
 }
 
 
+def step_swarm(snapshot, lucif, radius, constants, r_sense, picks, probes):
+    """Move every glowworm once from a synchronous snapshot.
+
+    ``picks`` holds one U[0,1) draw per glowworm for its neighbor roulette and
+    ``probes`` one uniform offset row per glowworm for the idle probe; a draw
+    is used only by the glowworms that need it.  Returns the moved positions
+    and the updated decision radii.
+    """
+    step = constants["step"]
+    probe_scale = constants["idle_probe"]
+
+    dist = np.linalg.norm(snapshot[:, None, :] - snapshot[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    brighter = (dist < radius[:, None]) & (lucif[None, :] > lucif[:, None])
+    counts = brighter.sum(axis=1)
+
+    # Roulette over each row's brighter neighbors, weighted by luciferin gap.
+    # Non-neighbors add a zero gap, so the cumulative sums at the neighbors
+    # equal those over the neighbors alone.  A U[0,1) pick times the row total
+    # rounds to below that total, so the first sum above it is a neighbor's.
+    # Rows without a neighbor count every column; their target is only kept
+    # in range, since they do not move toward it.
+    cum = np.cumsum(np.where(brighter, lucif[None, :] - lucif[:, None], 0.0), axis=1)
+    chosen = (cum <= (picks * cum[:, -1])[:, None]).sum(axis=1)
+    target = np.minimum(chosen, len(snapshot) - 1)
+
+    d = snapshot[target] - snapshot
+    norm = np.linalg.norm(d, axis=1)
+    moves = (counts > 0) & (norm > 0.0)  # coincident positions can differ in luciferin
+    moved = snapshot.copy()
+    moved[moves] = fold_into_box(snapshot[moves] + step * d[moves] / norm[moves, None])
+    if probe_scale > 0.0:
+        idle = ~moves
+        moved[idle] = fold_into_box(snapshot[idle] + probes[idle])
+    gain = constants["radius_gain"] * (constants["target_neighbors"] - counts)
+    return moved, np.minimum(r_sense, np.maximum(0.0, radius + gain))
+
+
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
     rho = constants["luciferin_decay"]
     gamma = constants["luciferin_gain"]
-    step = constants["step"]
-    beta = constants["radius_gain"]
-    n_target = constants["target_neighbors"]
     probe_scale = constants["idle_probe"]
     r_sense = 0.5 * math.sqrt(n)
 
@@ -51,33 +87,9 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     for _ in range(iterations):
         luciferin = (1.0 - rho) * luciferin + gamma * values
-
-        snapshot = x.copy()
-        lucif = luciferin.copy()
-        moved = x.copy()
-        for i in range(population):
-            dist = np.linalg.norm(snapshot - snapshot[i], axis=1)
-            dist[i] = np.inf
-            brighter = np.flatnonzero((dist < radius[i]) & (lucif > lucif[i]))
-            idle = True
-            if len(brighter) > 0:
-                gaps = lucif[brighter] - lucif[i]
-                cum = np.cumsum(gaps)
-                r = rng.random() * cum[-1]
-                j = brighter[min(int(np.searchsorted(cum, r, side="right")),
-                                 len(brighter) - 1)]
-                d = snapshot[j] - snapshot[i]
-                norm = np.linalg.norm(d)
-                if norm > 0.0:  # coincident positions can differ in luciferin
-                    moved[i] = fold_into_box(snapshot[i] + step * d / norm)
-                    idle = False
-            if idle and probe_scale > 0.0:
-                probe = rng.uniform(-probe_scale, probe_scale, n)
-                moved[i] = fold_into_box(snapshot[i] + probe)
-            radius[i] = min(
-                r_sense, max(0.0, radius[i] + beta * (n_target - len(brighter)))
-            )
-        x = moved
+        picks = rng.random(population)
+        probes = rng.uniform(-probe_scale, probe_scale, (population, n))
+        x, radius = step_swarm(x, luciferin, radius, constants, r_sense, picks, probes)
 
         rows = decode_rows(x, k)
         values = objective.value_rows(rows)

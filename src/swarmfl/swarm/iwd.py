@@ -6,6 +6,13 @@ the travel time is short (short time = high-fitness client), so quality
 information accumulates in the soil field.  The iteration-best subset gets a
 multiplicative soil reinforcement.  One evaluation per drop per iteration.
 
+A drop erodes only the client it has just visited, so the weights of the
+clients still open stay fixed for the whole drop.  Its ordered path is
+therefore one keyed sort of Exp(1) races (``support.keyed_sample``), the
+same distribution as step-by-step roulette; velocity and erosion then follow
+along the path in one vector pass.  Drops stay sequential: each one sees the
+soil the previous drops left.
+
 Erosion and reinforcement rates here are deliberately gentle: literal
 textbook magnitudes collapse the field after a handful of visits at this
 problem scale, which freezes the search on whatever was sampled first.  The
@@ -18,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker
+from .support import BatchObjective, BestTracker, keyed_sample
 
 EVAL_FACTOR = 1
 
@@ -37,6 +44,27 @@ DEFAULTS = {
 }
 
 
+def erode(soil, path, eta_inv, constants):
+    """Apply one drop's velocity gain and erosion along its ordered path.
+
+    Visits are distinct, so each client's soil is read before its own erosion
+    and the step-by-step updates collapse to one running sum for the velocity
+    and one vector update of ``soil[path]`` (in place).
+    """
+    eps = constants["prob_eps"]
+    visited = soil[path]
+    velocity = constants["velocity_gain"] / (eps + visited)
+    # Adding the initial velocity to the first gain keeps the per-step loop's
+    # order of additions, so the running sums match it exactly.
+    velocity[0] += constants["velocity_init"]
+    np.add.accumulate(velocity, out=velocity)
+    travel_time = eta_inv[path] / velocity
+    delta = constants["erosion_scale"] / (constants["time_eps"] + travel_time**2)
+    eroded = visited - constants["erosion_rate"] * delta
+    np.maximum(eroded, constants["soil_min"], out=eroded)
+    soil[path] = np.minimum(eroded, constants["soil_max"], out=eroded)
+
+
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
     eps = constants["prob_eps"]
     soil_min = constants["soil_min"]
@@ -48,31 +76,12 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     tracker = BestTracker()
     for _ in range(iterations):
-        rows = np.empty((population, k), dtype=int)
+        races = rng.standard_exponential((population, n))
+        paths = np.empty((population, k), dtype=int)
         for d in range(population):
-            velocity = constants["velocity_init"]
-            available = np.ones(n, dtype=bool)
-            path = np.empty(k, dtype=int)
-            for s in range(k):
-                weights = np.where(available, 1.0 / (eps + soil), 0.0)
-                cum = np.cumsum(weights)
-                r = rng.random() * cum[-1]
-                i = min(int(np.searchsorted(cum, r, side="right")), n - 1)
-                while not available[i]:
-                    i -= 1
-                path[s] = i
-                available[i] = False
-
-                velocity += constants["velocity_gain"] / (eps + soil[i])
-                travel_time = eta_inv[i] / velocity
-                delta = constants["erosion_scale"] / (
-                    constants["time_eps"] + travel_time**2
-                )
-                soil[i] = min(
-                    max(soil[i] - constants["erosion_rate"] * delta, soil_min),
-                    soil_max,
-                )
-            rows[d] = np.sort(path)
+            paths[d] = keyed_sample(1.0 / (eps + soil), races[d], k)
+            erode(soil, paths[d], eta_inv, constants)
+        rows = np.sort(paths, axis=1)
         values = objective.value_rows(rows)
         tracker.update(rows, values)
 

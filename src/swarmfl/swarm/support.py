@@ -20,6 +20,7 @@ __all__ = [
     "Position",
     "decode_position",
     "decode_rows",
+    "keyed_sample",
     "levy_sample",
     "pheromone_construct",
     "BatchObjective",
@@ -83,6 +84,19 @@ def levy_sample(beta: float, rng: np.random.Generator, size=None):
     return u / np.abs(v) ** (1.0 / beta)
 
 
+def keyed_sample(weights: np.ndarray, races: np.ndarray, k: int) -> np.ndarray:
+    """First k indices in ascending order of ``races / weights``, per row.
+
+    With ``races`` independent Exp(1) draws (one per weight, any leading batch
+    shape), the returned order has the distribution of k rounds of roulette
+    without replacement with probabilities proportional to the positive
+    ``weights``: index i finishes an Exp(w_i) race, and the first finisher
+    among those left is i with probability w_i / sum(w).  (Efraimidis &
+    Spirakis, IPL 2006.)  The order is kept: column j is the (j+1)-th pick.
+    """
+    return (races / weights).argsort(axis=-1, kind="stable")[..., :k]
+
+
 def pheromone_construct(
     tau: np.ndarray,
     eta: np.ndarray,
@@ -93,7 +107,8 @@ def pheromone_construct(
 ) -> set:
     """Draw k distinct indices, each with probability ~ tau^alpha * eta^beta.
 
-    Sequential roulette without replacement over the remaining indices.
+    Same distribution as sequential roulette without replacement over the
+    remaining indices; drawn in one pass through ``keyed_sample``.
     """
     tau = np.asarray(tau, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -105,20 +120,8 @@ def pheromone_construct(
     if not 1 <= k <= n:
         raise ValueError(f"k must be in 1..{n}, got {k}")
 
-    weights = tau**alpha * eta**beta
-    chosen = []
-    for _ in range(k):
-        cum = np.cumsum(weights)
-        total = cum[-1]
-        r = rng.random() * total
-        idx = int(np.searchsorted(cum, r, side="right"))
-        if idx >= n:  # guard against r == total from rounding
-            idx = n - 1
-        while weights[idx] == 0.0:  # never land on an already-taken index
-            idx -= 1
-        chosen.append(idx)
-        weights[idx] = 0.0
-    return set(chosen)
+    order = keyed_sample(tau**alpha * eta**beta, rng.standard_exponential(n), k)
+    return set(int(i) for i in order)
 
 
 def fold_into_box(coords: np.ndarray) -> np.ndarray:
@@ -157,7 +160,7 @@ class BatchObjective:
         values = self.fitness[rows].sum(axis=-1) / k
         if self._dists is not None:
             pooled = self._dists[rows].sum(axis=-2) / k
-            logs = np.where(pooled > 0.0, np.log(pooled, where=pooled > 0.0), 0.0)
+            logs = np.log(pooled, out=np.zeros_like(pooled), where=pooled > 0.0)
             entropy = -(pooled * logs).sum(axis=-1)
             n_classes = self._dists.shape[1]
             values = values + self.objective.coverage_bonus * entropy / math.log(

@@ -13,8 +13,11 @@ from swarmfl.swarm import (
     ALGORITHM_NAMES,
     OptimizerParams,
     SelectionProblem,
+    glowworm,
+    iwd,
     optimize,
 )
+from swarmfl.swarm.support import fold_into_box
 
 EVAL_FACTORS = {
     "gwo": 1,
@@ -160,3 +163,88 @@ def test_problem_validation():
         SelectionProblem(n_clients=2, k=3, objective=obj)
     with pytest.raises(ValueError):
         SelectionProblem(n_clients=3, k=1, objective=obj)
+
+
+# --- vector update rules against per-step reference loops -------------------------
+
+
+def reference_iwd_erosion(soil, path, eta_inv, c):
+    """One drop's velocity and erosion, one visit at a time."""
+    eps = c["prob_eps"]
+    velocity = c["velocity_init"]
+    for i in path:
+        velocity += c["velocity_gain"] / (eps + soil[i])
+        travel_time = eta_inv[i] / velocity
+        delta = c["erosion_scale"] / (c["time_eps"] + travel_time**2)
+        soil[i] = min(max(soil[i] - c["erosion_rate"] * delta, c["soil_min"]), c["soil_max"])
+
+
+def test_iwd_vector_erosion_matches_per_step_loop():
+    rng = np.random.default_rng(21)
+    n = 30
+    eta_inv = 1.0 / rng.uniform(0.01, 1.5, n)
+    for trial in range(20):
+        soil = rng.uniform(0.01, 30.0, n)
+        path = rng.permutation(n)[: 2 + trial]
+        soil[path[-1]] = 2e6  # above soil_max: the clip pulls it back down
+        expected = soil.copy()
+        reference_iwd_erosion(expected, path, eta_inv, iwd.DEFAULTS)
+        got = soil.copy()
+        iwd.erode(got, path, eta_inv, iwd.DEFAULTS)
+        np.testing.assert_array_equal(got, expected)
+        assert got[path[-1]] == iwd.DEFAULTS["soil_max"]
+        assert np.array_equal(np.flatnonzero(got != soil), np.sort(path))
+
+
+def reference_glowworm_step(snapshot, lucif, radius, c, r_sense, picks, probes):
+    """Move each glowworm in turn from the snapshot, one at a time."""
+    population = len(snapshot)
+    moved = snapshot.copy()
+    radius = radius.copy()
+    for i in range(population):
+        dist = np.linalg.norm(snapshot - snapshot[i], axis=1)
+        dist[i] = np.inf
+        brighter = np.flatnonzero((dist < radius[i]) & (lucif > lucif[i]))
+        idle = True
+        if len(brighter) > 0:
+            cum = np.cumsum(lucif[brighter] - lucif[i])
+            r = picks[i] * cum[-1]
+            j = brighter[min(int(np.searchsorted(cum, r, side="right")), len(brighter) - 1)]
+            d = snapshot[j] - snapshot[i]
+            norm = np.linalg.norm(d)
+            if norm > 0.0:
+                moved[i] = fold_into_box(snapshot[i] + c["step"] * d / norm)
+                idle = False
+        if idle and c["idle_probe"] > 0.0:
+            moved[i] = fold_into_box(snapshot[i] + probes[i])
+        radius[i] = min(
+            r_sense,
+            max(0.0, radius[i] + c["radius_gain"] * (c["target_neighbors"] - len(brighter))),
+        )
+    return moved, radius
+
+
+@pytest.mark.parametrize("idle_probe", [0.25, 0.0])
+def test_glowworm_vector_step_matches_per_worm_loop(idle_probe):
+    c = dict(glowworm.DEFAULTS, idle_probe=idle_probe)
+    rng = np.random.default_rng(22)
+    population, n = 16, 9
+    r_sense = 0.5 * np.sqrt(n)
+    for _ in range(20):
+        snapshot = rng.random((population, n))
+        snapshot[1] = snapshot[0]  # coincident positions, different luciferin
+        lucif = rng.choice([3.0, 4.0, 4.5, 5.0, 6.0], population)
+        lucif[0], lucif[1] = 3.0, 6.0
+        radius = rng.choice([0.0, 0.4, 0.9, r_sense], population)
+        picks = rng.random(population)
+        picks[2] = 1.0 - 2.0**-53  # the largest U[0,1) draw
+        probes = rng.uniform(-idle_probe, idle_probe, (population, n))
+
+        expected, expected_radius = reference_glowworm_step(
+            snapshot, lucif, radius, c, r_sense, picks, probes
+        )
+        got, got_radius = glowworm.step_swarm(
+            snapshot, lucif, radius, c, r_sense, picks, probes
+        )
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
+        np.testing.assert_array_equal(got_radius, expected_radius)

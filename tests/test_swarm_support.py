@@ -12,6 +12,7 @@ from swarmfl.swarm.support import (
     decode_position,
     decode_rows,
     fold_into_box,
+    keyed_sample,
     levy_sample,
     pheromone_construct,
 )
@@ -127,6 +128,51 @@ def test_levy_tail_is_heavy():
     assert float(np.mean(np.abs(s) > 100.0)) > 1e-4
     normal = np.random.default_rng(314).normal(0.0, 1.0, 1_000_000)
     assert float(np.mean(np.abs(normal) > 10.0)) == 0.0
+
+
+# --- keyed sampling ---------------------------------------------------------------
+
+
+def test_keyed_sample_first_two_picks_match_sequential_roulette():
+    weights = np.array([4.0, 1.0, 2.0, 3.0])
+    draws = 20000
+    rng = np.random.default_rng(11)
+    picks = keyed_sample(weights, rng.standard_exponential((draws, 4)), 2)
+    total = weights.sum()
+    for i in range(4):
+        for j in range(4):
+            if i == j:
+                continue
+            exact = weights[i] / total * weights[j] / (total - weights[i])
+            seen = np.mean((picks[:, 0] == i) & (picks[:, 1] == j))
+            se = math.sqrt(exact * (1.0 - exact) / draws)
+            assert abs(seen - exact) < 5.0 * se, (i, j, seen, exact)
+
+
+def test_keyed_sample_extreme_weights_stay_finite(recwarn):
+    weights = np.logspace(-6.0, 6.0, 13)
+    rng = np.random.default_rng(12)
+    races = rng.standard_exponential((5000, weights.size))
+    races[0] = 0.0
+    races[1] = 1e-300
+    races[2] = 50.0
+    with np.errstate(all="raise"):
+        keys = races / weights
+        order = keyed_sample(weights, races, weights.size)
+    assert np.all(np.isfinite(keys))
+    assert np.array_equal(np.sort(order, axis=1), np.tile(np.arange(13), (5000, 1)))
+    # the 1e6 weight holds 90% of the mass, so it is picked first 90% of the time
+    assert abs(np.mean(order[3:, 0] == 12) - 1e6 / weights.sum()) < 0.02
+    assert len(recwarn) == 0
+
+
+def test_keyed_sample_k_equals_n_returns_every_index():
+    rng = np.random.default_rng(13)
+    weights = rng.uniform(0.1, 5.0, 7)
+    one = keyed_sample(weights, rng.standard_exponential(7), 7)
+    assert sorted(one.tolist()) == list(range(7))
+    batch = keyed_sample(weights, rng.standard_exponential((50, 7)), 7)
+    assert np.array_equal(np.sort(batch, axis=1), np.tile(np.arange(7), (50, 1)))
 
 
 # --- pheromone construction ---------------------------------------------------
