@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fitness import ClientProfile
+from .fitness import _SUM_TOL, ClientProfile
 
 __all__ = [
     "DatasetSpec",
@@ -30,8 +30,6 @@ __all__ = [
     "corrupt_labels",
     "participation_at",
 ]
-
-_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .datagen import (
     participation_at,
     sample_client_profiles,
 )
-from .fitness import ClientProfile, FitnessWeights, SubsetObjective
+from .fitness import _SUM_TOL, ClientProfile, FitnessWeights, SubsetObjective
 from .swarm import OptimizerParams, SelectionProblem, optimize
 
 __all__ = [
@@ -45,8 +45,6 @@ __all__ = [
     "build_clients",
     "run_session",
 ]
-
-_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)

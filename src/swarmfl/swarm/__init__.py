@@ -16,24 +16,15 @@ import numpy as np
 from ..errors import ConfigError
 from ..fitness import SubsetObjective
 from . import aco, bat, bee, cuckoo, fish, glowworm, gwo, iwd, pso
-from .support import (
-    BatchObjective,
-    Position,
-    decode_position,
-    levy_sample,
-    pheromone_construct,
-)
+from .support import BatchObjective, levy_sample
 
 __all__ = [
     "ALGORITHM_NAMES",
     "OptimizerParams",
-    "Position",
     "SelectionProblem",
     "SelectionResult",
-    "decode_position",
     "levy_sample",
     "optimize",
-    "pheromone_construct",
 ]
 
 _MODULES = MappingProxyType(
@@ -114,26 +105,28 @@ class SelectionResult:
 def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionResult:
     """Run the named algorithm and return the best subset ever evaluated.
 
-    The evaluation count is bounded by population * (iterations + 1) times
-    the per-algorithm ``EVAL_FACTOR`` (at most 3).
+    The evaluation budget is population * (iterations + 1) times the
+    per-algorithm ``EVAL_FACTOR`` (at most 3).  It is enforced: an evaluation
+    that would go past it raises ``RuntimeError``.
     """
     module = _MODULES[params.algorithm]
     constants = dict(module.DEFAULTS)
     constants.update(params.algo_constants)
     rng = np.random.default_rng(params.seed)
-    batch = BatchObjective(problem.objective)
-    tracker = module.run(
+    budget = params.population * (params.iterations + 1) * module.EVAL_FACTOR
+    objective = BatchObjective(problem.objective, problem.k, budget)
+    module.run(
         problem.n_clients,
         problem.k,
         params.population,
         params.iterations,
-        batch,
+        objective,
         constants,
         rng,
     )
     return SelectionResult(
-        best_subset=frozenset(int(i) for i in tracker.best_row),
-        best_value=tracker.best_value,
-        trace=tuple(tracker.trace),
-        evaluations=batch.evaluations,
+        best_subset=frozenset(int(i) for i in objective.best_row),
+        best_value=objective.best_value,
+        trace=tuple(objective.trace),
+        evaluations=objective.evaluations,
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, keyed_sample
+from .support import BatchObjective, keyed_sample
 
 EVAL_FACTOR = 1
 
@@ -43,16 +43,13 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     tau = np.full(n, constants["tau_init"])
     eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
 
-    tracker = BestTracker()
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
         rows = np.sort(keyed_sample(tau**alpha * eta**beta, races, k), axis=1)
         values = objective.value_rows(rows)
-        tracker.update(rows, values)
 
         best = int(np.argmax(values))
         tau *= 1.0 - rho
         tau[rows[best]] += deposit
         np.clip(tau, tau_min, tau_max, out=tau)
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

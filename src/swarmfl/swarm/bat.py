@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows, fold_into_box
+from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 2
 
@@ -43,10 +43,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     x = rng.random((population, n))
     v = rng.uniform(-vmax, vmax, (population, n))
     loud = np.full(population, constants["loudness"])
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
 
     b = int(np.argmax(values))
     best_x = x[b].copy()
@@ -65,12 +62,8 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         eps = rng.normal(0.0, 1.0, (population, n))
         local = fold_into_box(best_x + walk * eps * loud.mean())
 
-        flight_rows = decode_rows(flight, k)
-        flight_values = objective.value_rows(flight_rows)
-        tracker.update(flight_rows, flight_values)
-        local_rows = decode_rows(local, k)
-        local_values = objective.value_rows(local_rows)
-        tracker.update(local_rows, local_values)
+        flight_values = objective.value_positions(flight)
+        local_values = objective.value_positions(local)
 
         cand = np.where(walk_gate[:, None], local, flight)
         cand_values = np.where(walk_gate, local_values, flight_values)
@@ -83,5 +76,4 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         if values[b] > best_val:
             best_x = x[b].copy()
             best_val = float(values[b])
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows
+from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 2
 
@@ -27,7 +27,7 @@ def _neighbor(x, i, n_sources, n, rng):
         partner += 1
     phi = rng.uniform(-1.0, 1.0)
     cand = x[i].copy()
-    cand[j] = np.clip(cand[j] + phi * (cand[j] - x[partner][j]), 0.0, 1.0)
+    cand[j] = fold_into_box(cand[j] + phi * (cand[j] - x[partner][j]))
     return cand
 
 
@@ -38,19 +38,14 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     limit = n_sources * n
 
     x = rng.random((n_sources, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
     trials = np.zeros(n_sources, dtype=int)
 
     def try_replace(i, cand):
-        row = decode_rows(cand[None, :], k)
-        val = objective.value_rows(row)
-        tracker.update(row, val)
-        if val[0] > values[i]:
+        val = objective.value_positions(cand[None, :])[0]
+        if val > values[i]:
             x[i] = cand
-            values[i] = val[0]
+            values[i] = val
             trials[i] = 0
         else:
             trials[i] += 1
@@ -69,10 +64,6 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         stale = int(np.argmax(trials))
         if trials[stale] > limit:
             x[stale] = rng.random(n)
-            row = decode_rows(x[stale][None, :], k)
-            val = objective.value_rows(row)
-            tracker.update(row, val)
-            values[stale] = val[0]
+            values[stale] = objective.value_positions(x[stale][None, :])[0]
             trials[stale] = 0
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows, fold_into_box, levy_sample
+from .support import BatchObjective, fold_into_box, levy_sample
 
 EVAL_FACTOR = 2
 
@@ -26,10 +26,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     n_abandon = int(np.floor(constants["abandon_fraction"] * population + 0.5))
 
     x = rng.random((population, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
 
     b = int(np.argmax(values))
     best_x = x[b].copy()
@@ -38,9 +35,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     for _ in range(iterations):
         steps = levy_sample(beta, rng, (population, n))
         cand = fold_into_box(x + scale * steps * (x - best_x))
-        cand_rows = decode_rows(cand, k)
-        cand_values = objective.value_rows(cand_rows)
-        tracker.update(cand_rows, cand_values)
+        cand_values = objective.value_positions(cand)
         improved = cand_values > values
         x[improved] = cand[improved]
         values[improved] = cand_values[improved]
@@ -48,14 +43,10 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         if n_abandon > 0:
             worst = np.argsort(values, kind="stable")[:n_abandon]
             x[worst] = rng.random((n_abandon, n))
-            new_rows = decode_rows(x[worst], k)
-            new_values = objective.value_rows(new_rows)
-            tracker.update(new_rows, new_values)
-            values[worst] = new_values
+            values[worst] = objective.value_positions(x[worst])
 
         b = int(np.argmax(values))
         if values[b] > best_val:
             best_x = x[b].copy()
             best_val = float(values[b])
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows
+from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 3
 
@@ -33,23 +33,17 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     try_number = int(constants["try_number"])
 
     x = rng.random((population, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
 
     def evaluate(point):
-        row = decode_rows(point[None, :], k)
-        val = objective.value_rows(row)
-        tracker.update(row, val)
-        return float(val[0])
+        return float(objective.value_positions(point[None, :])[0])
 
     def drift(origin, target):
         d = target - origin
         norm = np.linalg.norm(d)
         if norm == 0.0:
             return origin.copy()
-        return np.clip(origin + step * rng.random() * d / norm, 0.0, 1.0)
+        return fold_into_box(origin + step * rng.random() * d / norm)
 
     for _ in range(iterations):
         for i in range(population):
@@ -74,13 +68,10 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
                     continue
 
             for _probe in range(min(try_number, _FISH_EVAL_CAP - used)):
-                trial = np.clip(
-                    x[i] + visual * rng.uniform(-1.0, 1.0, n), 0.0, 1.0
-                )
+                trial = fold_into_box(x[i] + visual * rng.uniform(-1.0, 1.0, n))
                 trial_val = evaluate(trial)
                 if trial_val > values[i]:
                     x[i] = trial
                     values[i] = trial_val
                     break
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

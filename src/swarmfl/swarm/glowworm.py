@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows, fold_into_box
+from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 1
 
@@ -77,10 +77,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     r_sense = 0.5 * math.sqrt(n)
 
     x = rng.random((population, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
 
     luciferin = np.full(population, constants["luciferin_init"])
     radius = np.full(population, r_sense)
@@ -90,9 +87,5 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         picks = rng.random(population)
         probes = rng.uniform(-probe_scale, probe_scale, (population, n))
         x, radius = step_swarm(x, luciferin, radius, constants, r_sense, picks, probes)
-
-        rows = decode_rows(x, k)
-        values = objective.value_rows(rows)
-        tracker.update(rows, values)
-        tracker.close_iteration()
-    return tracker
+        values = objective.value_positions(x)
+        objective.close_iteration()

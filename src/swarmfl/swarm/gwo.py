@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows, fold_into_box
+from .support import BatchObjective, decode_rows, fold_into_box
 
 EVAL_FACTOR = 1
 
@@ -23,8 +23,6 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     x = rng.random((population, n))
     rows = decode_rows(x, k)
     values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
 
     for t in range(iterations):
         a = 2.0 - 2.0 * t / iterations
@@ -51,6 +49,4 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         x = fold_into_box(pulled / 3.0)
         rows = decode_rows(x, k)
         values = objective.value_rows(rows)
-        tracker.update(rows, values)
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

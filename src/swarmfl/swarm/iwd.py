@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, keyed_sample
+from .support import BatchObjective, keyed_sample
 
 EVAL_FACTOR = 1
 
@@ -74,7 +74,6 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
     eta_inv = 1.0 / np.maximum(eta, constants["eta_floor"])
 
-    tracker = BestTracker()
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
         paths = np.empty((population, k), dtype=int)
@@ -83,9 +82,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
             erode(soil, paths[d], eta_inv, constants)
         rows = np.sort(paths, axis=1)
         values = objective.value_rows(rows)
-        tracker.update(rows, values)
 
         best = rows[int(np.argmax(values))]
         soil[best] = np.clip(soil[best] * constants["reinforce"], soil_min, soil_max)
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

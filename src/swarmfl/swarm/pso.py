@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, BestTracker, decode_rows, fold_into_box
+from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 1
 
@@ -37,10 +37,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     x = rng.random((population, n))
     v = rng.uniform(-vmax, vmax, (population, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    tracker = BestTracker()
-    tracker.update(rows, values)
+    values = objective.value_positions(x)
 
     pbest = x.copy()
     pbest_val = values.copy()
@@ -61,10 +58,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         out = (raw < 0.0) | (raw > 1.0)
         v = np.where(out, -v, v)
         x = fold_into_box(raw)
-
-        rows = decode_rows(x, k)
-        values = objective.value_rows(rows)
-        tracker.update(rows, values)
+        values = objective.value_positions(x)
 
         improved = values > pbest_val
         pbest[improved] = x[improved]
@@ -73,5 +67,4 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         if pbest_val[g] > gbest_val:
             gbest = pbest[g].copy()
             gbest_val = float(pbest_val[g])
-        tracker.close_iteration()
-    return tracker
+        objective.close_iteration()

@@ -9,40 +9,18 @@ is deterministic given the caller's generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from ..fitness import SubsetObjective, client_fitness
 
 __all__ = [
-    "Position",
-    "decode_position",
     "decode_rows",
     "keyed_sample",
     "levy_sample",
-    "pheromone_construct",
     "BatchObjective",
-    "BestTracker",
 ]
-
-
-@dataclass(frozen=True)
-class Position:
-    """A candidate selection encoded as a point in [0,1]^N."""
-
-    coords: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.ndim != 1:
-            raise ValueError("coords must be one-dimensional")
-        if coords.size == 0:
-            raise ValueError("coords must be nonempty")
-        if np.any(coords < 0.0) or np.any(coords > 1.0):
-            raise ValueError("coords must lie in [0,1]")
-        object.__setattr__(self, "coords", coords)
 
 
 def decode_rows(coords: np.ndarray, k: int) -> np.ndarray:
@@ -53,15 +31,6 @@ def decode_rows(coords: np.ndarray, k: int) -> np.ndarray:
     """
     picked = np.argsort(-coords, axis=-1, kind="stable")[..., :k]
     return np.sort(picked, axis=-1)
-
-
-def decode_position(position: Position, k: int):
-    """Indices of the k largest coordinates; ties favor the lower index."""
-    n = position.coords.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-    row = decode_rows(position.coords[None, :], k)[0]
-    return set(int(i) for i in row)
 
 
 def _levy_sigma(beta: float) -> float:
@@ -97,58 +66,43 @@ def keyed_sample(weights: np.ndarray, races: np.ndarray, k: int) -> np.ndarray:
     return (races / weights).argsort(axis=-1, kind="stable")[..., :k]
 
 
-def pheromone_construct(
-    tau: np.ndarray,
-    eta: np.ndarray,
-    alpha: float,
-    beta: float,
-    k: int,
-    rng: np.random.Generator,
-) -> set:
-    """Draw k distinct indices, each with probability ~ tau^alpha * eta^beta.
-
-    Same distribution as sequential roulette without replacement over the
-    remaining indices; drawn in one pass through ``keyed_sample``.
-    """
-    tau = np.asarray(tau, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    if tau.shape != eta.shape or tau.ndim != 1:
-        raise ValueError("tau and eta must be equal-length vectors")
-    if np.any(tau <= 0.0) or np.any(eta <= 0.0):
-        raise ValueError("tau and eta must be strictly positive")
-    n = tau.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in 1..{n}, got {k}")
-
-    order = keyed_sample(tau**alpha * eta**beta, rng.standard_exponential(n), k)
-    return set(int(i) for i in order)
-
-
 def fold_into_box(coords: np.ndarray) -> np.ndarray:
     """Reflect out-of-box coordinates back into [0,1].
 
     Plain clamping piles coordinates up on the walls, where rank decoding
     degenerates into index-order tie-breaking; reflection keeps them spread.
+    Coordinates with |x| > 2 land on the 0 wall.  Three ufunc calls keep this
+    cheap on the scalars and single rows that fish and bee move.
     """
-    folded = np.where(coords < 0.0, -coords, coords)
-    folded = np.where(folded > 1.0, 2.0 - folded, folded)
-    return np.clip(folded, 0.0, 1.0)
+    folded = np.abs(coords)
+    return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
 
 
 class BatchObjective:
-    """Vectorized, call-counted evaluation of subsets given as index rows.
+    """Budgeted, vectorized evaluation of subsets with best-so-far tracking.
 
-    Results agree exactly with ``fitness.subset_objective``: both compute
-    sum/k on the same precomputed per-client fitness values (and the same
-    entropy term when the coverage bonus is active).
+    This is the one place a search scores candidates.  Values agree exactly
+    with ``fitness.subset_objective``: both compute sum/k on the same
+    precomputed per-client fitness values (and the same entropy term when the
+    coverage bonus is active).  Every scored row counts against ``budget``; a
+    call that would take ``evaluations`` past it raises ``RuntimeError``
+    before scoring anything.  The best row is replaced only on strict
+    improvement, so the earliest subset achieving a value is kept and tie
+    handling is deterministic across runs.  ``close_iteration`` appends the
+    running best to ``trace``.
     """
 
-    def __init__(self, objective: SubsetObjective):
+    def __init__(self, objective: SubsetObjective, k: int, budget: int):
         self.objective = objective
+        self.k = k
+        self.budget = budget
         self.fitness = np.array(
             [client_fitness(p, objective.weights) for p in objective.profiles]
         )
         self.evaluations = 0
+        self.best_row: Optional[np.ndarray] = None
+        self.best_value = -math.inf
+        self.trace: list = []
         self._dists: Optional[np.ndarray] = None
         if objective.coverage_bonus > 0:
             self._dists = np.asarray(objective.class_distributions, dtype=float)
@@ -156,6 +110,11 @@ class BatchObjective:
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         """Objective value for each (m, k) row of distinct client indices."""
         rows = np.asarray(rows)
+        if self.evaluations + rows.shape[0] > self.budget:
+            raise RuntimeError(
+                f"evaluation budget exceeded: {self.evaluations} + {rows.shape[0]}"
+                f" > {self.budget}"
+            )
         k = rows.shape[-1]
         values = self.fitness[rows].sum(axis=-1) / k
         if self._dists is not None:
@@ -166,30 +125,16 @@ class BatchObjective:
             values = values + self.objective.coverage_bonus * entropy / math.log(
                 n_classes
             )
-        self.evaluations += rows.shape[0] if rows.ndim > 1 else 1
-        return values
-
-    def value_row(self, row: np.ndarray) -> float:
-        return float(self.value_rows(np.asarray(row)[None, :])[0])
-
-
-class BestTracker:
-    """Best-subset-so-far bookkeeping with strict-improvement updates.
-
-    Strict improvement means the earliest subset achieving a value is kept,
-    which makes tie handling deterministic across runs.
-    """
-
-    def __init__(self):
-        self.best_row: Optional[np.ndarray] = None
-        self.best_value = -math.inf
-        self.trace: list = []
-
-    def update(self, rows: np.ndarray, values: np.ndarray) -> None:
+        self.evaluations += rows.shape[0]
         i = int(np.argmax(values))
         if values[i] > self.best_value:
             self.best_value = float(values[i])
             self.best_row = np.array(rows[i], copy=True)
+        return values
+
+    def value_positions(self, coords: np.ndarray) -> np.ndarray:
+        """Objective value for each (m, N) position, rank-decoded to k clients."""
+        return self.value_rows(decode_rows(coords, self.k))
 
     def close_iteration(self) -> None:
         self.trace.append(self.best_value)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,12 @@ from swarmfl.swarm import (
     ALGORITHM_NAMES,
     OptimizerParams,
     SelectionProblem,
+    bee,
     glowworm,
     iwd,
     optimize,
 )
-from swarmfl.swarm.support import fold_into_box
+from swarmfl.swarm.support import BatchObjective, fold_into_box
 
 EVAL_FACTORS = {
     "gwo": 1,
@@ -109,6 +112,33 @@ def test_evaluation_budget(name):
 
 
 @pytest.mark.parametrize("name", ALGORITHM_NAMES)
+def test_optimize_enforces_the_budget(name, monkeypatch):
+    monkeypatch.setattr(importlib.import_module(f"swarmfl.swarm.{name}"), "EVAL_FACTOR", 0)
+    problem = sampled_problem(10, 3, seed=47)
+    with pytest.raises(RuntimeError, match="budget"):
+        optimize(problem, OptimizerParams(name, population=4, iterations=3, seed=1))
+
+
+def test_every_evaluation_goes_through_value_rows(monkeypatch):
+    # The traced benchmark counts evaluations by wrapping this method on the
+    # class; a selector that scored rows some other way would escape it.
+    seen = []
+    original = BatchObjective.value_rows
+
+    def counting(self, rows):
+        seen.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(BatchObjective, "value_rows", counting)
+    problem = sampled_problem(12, 4, seed=48)
+    for name in ALGORITHM_NAMES:
+        seen.clear()
+        result = optimize(problem, OptimizerParams(name, population=6, iterations=5, seed=2))
+        assert seen, name
+        assert sum(seen) == result.evaluations, name
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
 def test_trace_shape_and_monotonicity(name):
     problem = sampled_problem(10, 3, seed=44)
     iters = 25
@@ -163,6 +193,20 @@ def test_problem_validation():
         SelectionProblem(n_clients=2, k=3, objective=obj)
     with pytest.raises(ValueError):
         SelectionProblem(n_clients=3, k=1, objective=obj)
+
+
+def test_bee_neighbor_reflects_off_the_walls():
+    # Sources hug both walls and partners sit across the box, so about half
+    # the moves overshoot; clamping would leave those exactly on a wall.
+    rng = np.random.default_rng(23)
+    n_sources, n = 6, 5
+    x = np.concatenate(
+        [rng.uniform(1e-3, 0.02, (3, n)), rng.uniform(0.98, 1.0 - 1e-3, (3, n))]
+    )
+    for _ in range(3000):
+        i = int(rng.integers(n_sources))
+        cand = bee._neighbor(x, i, n_sources, n, rng)
+        assert np.all((cand > 0.0) & (cand < 1.0)), cand
 
 
 # --- vector update rules against per-step reference loops -------------------------

@@ -6,15 +6,11 @@ import pytest
 from swarmfl.fitness import ClientProfile, FitnessWeights, SubsetObjective, subset_objective
 from swarmfl.swarm.support import (
     BatchObjective,
-    BestTracker,
-    Position,
     _levy_sigma,
-    decode_position,
     decode_rows,
     fold_into_box,
     keyed_sample,
     levy_sample,
-    pheromone_construct,
 )
 
 
@@ -44,48 +40,47 @@ def make_objective(n, seed=0, coverage=0.0):
     )
 
 
-# --- Position / decoding ------------------------------------------------------
+def scored_objective(scores):
+    """Objective whose client fitness is exactly ``scores[i]``."""
+    profiles = [
+        ClientProfile(
+            id=i,
+            det_accuracy=0.8,
+            false_positive_rate=0.0,
+            response_time=1.0,
+            reported_accuracy=score,
+            label_flip_rate=0.2,
+        )
+        for i, score in enumerate(scores)
+    ]
+    return SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 0.0, 0.0))
 
 
-def test_position_validation():
-    Position(np.array([0.0, 1.0, 0.5]))
-    with pytest.raises(ValueError):
-        Position(np.array([[0.1, 0.2]]))
-    with pytest.raises(ValueError):
-        Position(np.array([]))
-    with pytest.raises(ValueError):
-        Position(np.array([0.5, 1.01]))
-    with pytest.raises(ValueError):
-        Position(np.array([-0.01, 0.5]))
+# --- decoding -------------------------------------------------------------------
 
 
 def test_decode_hand_cases():
-    assert decode_position(Position(np.array([0.9, 0.1, 0.5, 0.5])), 2) == {0, 2}
-    assert decode_position(Position(np.array([0.2, 0.7, 0.3])), 1) == {1}
-    assert decode_position(Position(np.array([0.2, 0.7, 0.3])), 3) == {0, 1, 2}
+    assert decode_rows(np.array([[0.9, 0.1, 0.5, 0.5]]), 2).tolist() == [[0, 2]]
+    three = np.array([[0.2, 0.7, 0.3]])
+    assert decode_rows(three, 1).tolist() == [[1]]
+    assert decode_rows(three, 3).tolist() == [[0, 1, 2]]
 
 
 def test_decode_ties_to_lower_index():
-    assert decode_position(Position(np.array([0.5, 0.5, 0.5, 0.5])), 2) == {0, 1}
-    assert decode_position(Position(np.array([0.1, 0.5, 0.5])), 1) == {1}
-
-
-def test_decode_k_bounds():
-    p = Position(np.array([0.2, 0.4]))
-    with pytest.raises(ValueError):
-        decode_position(p, 0)
-    with pytest.raises(ValueError):
-        decode_position(p, 3)
+    assert decode_rows(np.array([[0.5, 0.5, 0.5, 0.5]]), 2).tolist() == [[0, 1]]
+    assert decode_rows(np.array([[0.1, 0.5, 0.5]]), 1).tolist() == [[1]]
 
 
 def test_decode_rows_batch_matches_scalar():
     rng = np.random.default_rng(5)
-    coords = rng.random((12, 8))
-    rows = decode_rows(coords, 3)
-    assert rows.shape == (12, 3)
-    for i in range(12):
-        assert set(rows[i]) == decode_position(Position(coords[i]), 3)
-        assert list(rows[i]) == sorted(rows[i])
+    coords = rng.random((40, 8))
+    coords[20:] = np.round(coords[20:], 1)  # plenty of ties
+    for k in (1, 3, 8):
+        rows = decode_rows(coords, k)
+        assert rows.shape == (40, k)
+        for c, row in zip(coords, rows):
+            expected = sorted(sorted(range(8), key=lambda i: (-c[i], i))[:k])
+            assert row.tolist() == expected
 
 
 # --- levy flights -------------------------------------------------------------
@@ -175,54 +170,6 @@ def test_keyed_sample_k_equals_n_returns_every_index():
     assert np.array_equal(np.sort(batch, axis=1), np.tile(np.arange(7), (50, 1)))
 
 
-# --- pheromone construction ---------------------------------------------------
-
-
-def test_pheromone_validation():
-    rng = np.random.default_rng(1)
-    ones = np.ones(3)
-    with pytest.raises(ValueError):
-        pheromone_construct(np.array([1.0, 0.0, 1.0]), ones, 1, 1, 2, rng)
-    with pytest.raises(ValueError):
-        pheromone_construct(ones, np.array([1.0, -1.0, 1.0]), 1, 1, 2, rng)
-    with pytest.raises(ValueError):
-        pheromone_construct(ones, np.ones(4), 1, 1, 2, rng)
-    with pytest.raises(ValueError):
-        pheromone_construct(ones, ones, 1, 1, 0, rng)
-    with pytest.raises(ValueError):
-        pheromone_construct(ones, ones, 1, 1, 4, rng)
-
-
-def test_pheromone_k_equals_n():
-    rng = np.random.default_rng(2)
-    assert pheromone_construct(np.ones(5), np.ones(5), 1, 2, 5, rng) == set(range(5))
-
-
-def test_pheromone_respects_weight_ratio():
-    rng = np.random.default_rng(3)
-    tau = np.array([2.0, 1.0, 1.0])
-    eta = np.ones(3)
-    hits = sum(pheromone_construct(tau, eta, 1.0, 1.0, 1, rng) == {0} for _ in range(20000))
-    assert abs(hits / 20000 - 0.5) < 0.02
-
-
-def test_pheromone_alpha_beta_exponents():
-    rng = np.random.default_rng(4)
-    tau = np.array([2.0, 1.0])
-    eta = np.array([1.0, 3.0])
-    # weights tau^2 * eta^1 = [4, 3] -> P(0) = 4/7
-    hits = sum(pheromone_construct(tau, eta, 2.0, 1.0, 1, rng) == {0} for _ in range(20000))
-    assert abs(hits / 20000 - 4.0 / 7.0) < 0.02
-
-
-def test_pheromone_returns_distinct_indices():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        got = pheromone_construct(np.array([5.0, 0.1, 1.0, 2.0]), np.ones(4), 1, 1, 3, rng)
-        assert len(got) == 3
-        assert got <= {0, 1, 2, 3}
-
-
 # --- fold_into_box --------------------------------------------------------------
 
 
@@ -244,12 +191,27 @@ def test_fold_always_lands_in_box():
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
 
 
+def reference_fold(coords):
+    """The three-step fold: mirror at 0, mirror at 1, clip what is still out."""
+    folded = np.where(coords < 0.0, -coords, coords)
+    folded = np.where(folded > 1.0, 2.0 - folded, folded)
+    return np.clip(folded, 0.0, 1.0)
+
+
+def test_fold_matches_three_step_reference():
+    rng = np.random.default_rng(9)
+    x = np.concatenate([rng.uniform(-3.0, 4.0, 10000), [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]])
+    np.testing.assert_array_equal(fold_into_box(x), reference_fold(x))
+    for value in x[:50]:  # numpy scalars, as bee moves them
+        assert fold_into_box(value) == reference_fold(value)
+
+
 # --- BatchObjective -------------------------------------------------------------
 
 
 def test_batch_matches_scalar_objective():
     obj = make_objective(9, seed=10)
-    batch = BatchObjective(obj)
+    batch = BatchObjective(obj, k=4, budget=50)
     rng = np.random.default_rng(11)
     rows = np.array([sorted(rng.choice(9, size=4, replace=False)) for _ in range(50)])
     values = batch.value_rows(rows)
@@ -259,7 +221,7 @@ def test_batch_matches_scalar_objective():
 
 def test_batch_matches_scalar_with_coverage():
     obj = make_objective(7, seed=12, coverage=0.6)
-    batch = BatchObjective(obj)
+    batch = BatchObjective(obj, k=3, budget=50)
     rng = np.random.default_rng(13)
     rows = np.array([sorted(rng.choice(7, size=3, replace=False)) for _ in range(50)])
     values = batch.value_rows(rows)
@@ -268,34 +230,46 @@ def test_batch_matches_scalar_with_coverage():
 
 
 def test_batch_counts_evaluations():
-    batch = BatchObjective(make_objective(6, seed=14))
+    batch = BatchObjective(make_objective(6, seed=14), k=2, budget=10)
     assert batch.evaluations == 0
     batch.value_rows(np.array([[0, 1], [2, 3], [4, 5]]))
     assert batch.evaluations == 3
-    batch.value_row(np.array([1, 2]))
+    value = batch.value_positions(np.array([[0.1, 0.9, 0.8, 0.2, 0.3, 0.0]]))
     assert batch.evaluations == 4
+    assert value[0] == batch.value_rows(np.array([[1, 2]]))[0]
 
 
-# --- BestTracker -----------------------------------------------------------------
+def test_batch_rejects_calls_past_the_budget():
+    batch = BatchObjective(make_objective(6, seed=15), k=2, budget=4)
+    batch.value_rows(np.array([[0, 1], [2, 3], [4, 5]]))
+    with pytest.raises(RuntimeError, match="budget"):
+        batch.value_rows(np.array([[0, 2], [1, 3]]))
+    assert batch.evaluations == 3
+    batch.value_positions(np.array([[0.9, 0.8, 0.0, 0.0, 0.0, 0.0]]))  # exactly at budget
+    assert batch.evaluations == 4
+    with pytest.raises(RuntimeError, match="budget"):
+        batch.value_rows(np.array([[0, 1]]))
 
 
 def test_tracker_keeps_strictly_better_only():
-    t = BestTracker()
-    t.update(np.array([[0, 1], [2, 3]]), np.array([0.5, 0.9]))
-    assert list(t.best_row) == [2, 3]
-    assert t.best_value == 0.9
-    t.update(np.array([[4, 5]]), np.array([0.9]))  # tie: keep earliest
-    assert list(t.best_row) == [2, 3]
-    t.update(np.array([[4, 5]]), np.array([0.91]))
-    assert list(t.best_row) == [4, 5]
+    batch = BatchObjective(scored_objective([0.5, 0.9, 0.9, 0.91]), k=1, budget=10)
+    batch.value_rows(np.array([[0], [1]]))
+    assert list(batch.best_row) == [1]
+    assert batch.best_value == 0.9
+    batch.value_rows(np.array([[2]]))  # tie: keep earliest
+    assert list(batch.best_row) == [1]
+    batch.value_rows(np.array([[3]]))
+    assert list(batch.best_row) == [3]
+    assert batch.best_value == 0.91
 
 
 def test_tracker_trace_records_running_best():
-    t = BestTracker()
-    t.update(np.array([[0]]), np.array([0.3]))
-    t.close_iteration()
-    t.update(np.array([[1]]), np.array([0.2]))
-    t.close_iteration()
-    t.update(np.array([[2]]), np.array([0.7]))
-    t.close_iteration()
-    assert t.trace == [0.3, 0.3, 0.7]
+    batch = BatchObjective(scored_objective([0.3, 0.2, 0.7]), k=1, budget=10)
+    assert batch.trace == []
+    batch.value_rows(np.array([[0]]))
+    batch.close_iteration()
+    batch.value_rows(np.array([[1]]))
+    batch.close_iteration()
+    batch.value_rows(np.array([[2]]))
+    batch.close_iteration()
+    assert batch.trace == [0.3, 0.3, 0.7]
