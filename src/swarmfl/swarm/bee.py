@@ -5,13 +5,20 @@ dimension of their source against a random partner; onlookers re-probe
 sources picked by fitness-proportional roulette; a source stagnant past the
 trial limit is abandoned and re-scouted uniformly.  At most one scout per
 iteration, so evaluations stay within twice the population per iteration.
+
+Bees move one after another, each seeing the moves before it.  No draw
+depends on the colony's state, so a phase first draws every bee's dimension,
+partner and step (and an onlooker's roulette pick first), as scalar calls in
+the order a per-bee loop makes them.  It then splits the phase into runs in
+which no move reads what an earlier move of the run may write, and scores
+each run in one call: the result is the per-bee loop's, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box
+from .support import BatchObjective, fold_into_box, roulette
 
 EVAL_FACTOR = 2
 
@@ -20,15 +27,69 @@ DEFAULTS = {
 }
 
 
-def _neighbor(x, i, n_sources, n, rng):
-    j = int(rng.integers(n))
-    partner = int(rng.integers(n_sources - 1))
-    if partner >= i:
-        partner += 1
-    phi = rng.uniform(-1.0, 1.0)
-    cand = x[i].copy()
-    cand[j] = fold_into_box(cand[j] + phi * (cand[j] - x[partner][j]))
+def propose(x, sources, dims, partners, phis):
+    """Candidate positions for a batch of moves, one row per move.
+
+    Move m copies source ``sources[m]`` and moves its coordinate ``dims[m]``
+    by ``phis[m]`` times its gap to the same coordinate of source
+    ``partners[m]``, reflecting at the walls.
+    """
+    cand = x[sources]
+    moves = np.arange(len(sources))
+    own = cand[moves, dims]
+    cand[moves, dims] = fold_into_box(own + phis * (own - x[partners, dims]))
     return cand
+
+
+def _draw_moves(rng, count, n, n_sources, pick):
+    """Draw ``count`` moves in a per-bee loop's scalar order.
+
+    Each move draws its roulette pick (if ``pick``), its dimension, its
+    partner among the other sources and its step.  Partners are drawn in
+    ``0..n_sources-2`` and skip the source once it is known.
+    """
+    picks, phis = np.zeros(count), np.empty(count)
+    dims, others = np.empty(count, dtype=int), np.empty(count, dtype=int)
+    for m in range(count):
+        if pick:
+            picks[m] = rng.random()
+        dims[m] = rng.integers(n)
+        others[m] = rng.integers(n_sources - 1)
+        phis[m] = rng.uniform(-1.0, 1.0)
+    return picks, dims, others, phis
+
+
+def _runs(sources, dims, partners):
+    """Split moves into maximal runs of moves that read nothing the run writes.
+
+    A move writes its source's row, but changes only its own dimension.  It
+    conflicts with an earlier move of the run on the same source, or with one
+    that moved the partner's source in the same dimension.
+    """
+    start, moved, written = 0, set(), set()
+    for m, (i, j, p) in enumerate(zip(sources.tolist(), dims.tolist(), partners.tolist())):
+        if i in moved or (p, j) in written:
+            yield start, m
+            start, moved, written = m, set(), set()
+        moved.add(i)
+        written.add((i, j))
+    if start < len(sources):
+        yield start, len(sources)
+
+
+def _visit(objective, x, values, trials, sources, dims, others, phis):
+    """Apply a phase's moves in order: greedy replacement and trial counts."""
+    partners = others + (others >= sources)
+    for a, b in _runs(sources, dims, partners):
+        src = sources[a:b]
+        cand = propose(x, src, dims[a:b], partners[a:b], phis[a:b])
+        vals = objective.value_positions(cand)
+        better = vals > values[src]
+        won = src[better]
+        x[won] = cand[better]
+        values[won] = vals[better]
+        trials[src] += 1
+        trials[won] = 0
 
 
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
@@ -40,26 +101,16 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     x = rng.random((n_sources, n))
     values = objective.value_positions(x)
     trials = np.zeros(n_sources, dtype=int)
-
-    def try_replace(i, cand):
-        val = objective.value_positions(cand[None, :])[0]
-        if val > values[i]:
-            x[i] = cand
-            values[i] = val
-            trials[i] = 0
-        else:
-            trials[i] += 1
+    employed = np.arange(n_sources)
 
     for _ in range(iterations):
-        for i in range(n_sources):
-            try_replace(i, _neighbor(x, i, n_sources, n, rng))
+        _, dims, others, phis = _draw_moves(rng, n_sources, n, n_sources, pick=False)
+        _visit(objective, x, values, trials, employed, dims, others, phis)
 
         weights = np.maximum(values - values.min(), floor)
-        cum = np.cumsum(weights)
-        for _ in range(n_onlookers):
-            r = rng.random() * cum[-1]
-            i = min(int(np.searchsorted(cum, r, side="right")), n_sources - 1)
-            try_replace(i, _neighbor(x, i, n_sources, n, rng))
+        picks, dims, others, phis = _draw_moves(rng, n_onlookers, n, n_sources, pick=True)
+        sources = roulette(np.cumsum(weights), picks)
+        _visit(objective, x, values, trials, sources, dims, others, phis)
 
         stale = int(np.argmax(trials))
         if trials[stale] > limit:

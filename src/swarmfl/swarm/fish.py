@@ -6,6 +6,18 @@ or crowded fish prey by probing random points in their visual box.  Probes
 are capped at three objective calls per fish per iteration, which keeps the
 whole algorithm within the documented budget factor of 3 even though the
 nominal try_number is 5.
+
+Fish take their turns one after another, each seeing the moves before it.
+Each iteration draws every fish's probe offsets and drift pull up front, and
+a turn uses only the draws it needs, so every probe point is known before
+the turns start.  A fish is *clear* when no spot another fish can occupy
+during its turn (a start position or a probe point) lies within its visual
+range: it is alone whatever the others do, and its prey reads and writes only
+its own row.  Each maximal run of clear fish therefore preys in lockstep, one
+objective call per probe round; the other fish take the sequential turn.  A
+fish that drifts to a new spot is checked against the later fish's starts.
+At the default visual range of 0.3, fish in [0,1]^N with N >= 10 sit about
+sqrt(N/6) apart, so nearly every fish is clear.
 """
 
 from __future__ import annotations
@@ -26,52 +38,95 @@ DEFAULTS = {
 _FISH_EVAL_CAP = 3
 
 
+def _farther(points, spots, visual):
+    """True where ``points[a]`` is surely more than ``visual`` from ``spots[b]``.
+
+    Squared distances come from |a|^2 + |b|^2 - 2 a.b, whose rounding error
+    for coordinates in [0,1]^n stays below 4 n (n + 2) eps.  Demanding that
+    margin beyond visual^2 means an error can only call a distant fish near,
+    which sends it to the exact sequential turn.
+    """
+    n = points.shape[-1]
+    margin = 4.0 * n * (n + 2) * np.finfo(float).eps
+    sq = (points * points).sum(axis=-1)[:, None] + (spots * spots).sum(axis=-1)[None, :]
+    return sq - 2.0 * (points @ spots.T) > visual * visual + margin
+
+
+def _prey(objective, x, values, probes, fish):
+    """Prey in lockstep: probe round t scores every fish still searching.
+
+    A fish moves to the first of its ``probes`` that beats its value and
+    stops searching; a round's calls cover only the fish left.
+    """
+    for t in range(probes.shape[1]):
+        if len(fish) == 0:
+            break
+        vals = objective.value_positions(probes[fish, t])
+        better = vals > values[fish]
+        won = fish[better]
+        x[won] = probes[won, t]
+        values[won] = vals[better]
+        fish = fish[~better]
+
+
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
     visual = constants["visual"]
     step = constants["step"]
     delta = constants["crowding"]
-    try_number = int(constants["try_number"])
+    tries = min(int(constants["try_number"]), _FISH_EVAL_CAP)
 
     x = rng.random((population, n))
     values = objective.value_positions(x)
+    everyone = np.arange(population)
 
     def evaluate(point):
         return float(objective.value_positions(point[None, :])[0])
 
-    def drift(origin, target):
-        d = target - origin
-        norm = np.linalg.norm(d)
-        if norm == 0.0:
-            return origin.copy()
-        return fold_into_box(origin + step * rng.random() * d / norm)
+    def turn(i, pull, probes):
+        """Fish i's sequential turn; returns True when it drifted."""
+        dist = np.linalg.norm(x - x[i], axis=1)
+        dist[i] = np.inf
+        neighbors = np.flatnonzero(dist < visual)
+        used = 0
+        if len(neighbors) > 0 and len(neighbors) / population < delta:
+            j = neighbors[int(np.argmax(values[neighbors]))]
+            target = x[j]  # follow the best visible fish
+            if values[j] <= values[i]:
+                target = x[neighbors].mean(axis=0)  # swarm toward the center
+                used = 1
+                if evaluate(target) <= values[i]:
+                    target = None
+            if target is not None:
+                d = target - x[i]
+                norm = np.linalg.norm(d)
+                if norm > 0.0:
+                    x[i] = fold_into_box(x[i] + step * pull * d / norm)
+                values[i] = evaluate(x[i])
+                return True
+        _prey(objective, x, values, probes[:, : _FISH_EVAL_CAP - used], everyone[i : i + 1])
+        return False
 
     for _ in range(iterations):
-        for i in range(population):
-            dist = np.linalg.norm(x - x[i], axis=1)
-            dist[i] = np.inf
-            neighbors = np.flatnonzero(dist < visual)
-            crowded = len(neighbors) / population >= delta
-            used = 0
+        offsets = rng.uniform(-1.0, 1.0, (population, tries, n))
+        pulls = rng.random(population)
+        start = x.copy()
+        probes = fold_into_box(start[:, None] + visual * offsets)
 
-            if len(neighbors) > 0 and not crowded:
-                j = neighbors[int(np.argmax(values[neighbors]))]
-                if values[j] > values[i]:  # follow the best visible fish
-                    x[i] = drift(x[i], x[j])
-                    values[i] = evaluate(x[i])
-                    continue
-                center = x[neighbors].mean(axis=0)  # swarm toward the center
-                center_val = evaluate(center)
-                used = 1
-                if center_val > values[i]:
-                    x[i] = drift(x[i], center)
-                    values[i] = evaluate(x[i])
-                    continue
+        spots = np.concatenate([start[:, None], probes], axis=1)
+        far = _farther(start, spots.reshape(-1, n), visual).reshape(population, population, -1)
+        far[everyone, everyone] = True  # a fish's own spots
+        clear = far.all(axis=(1, 2))
 
-            for _probe in range(min(try_number, _FISH_EVAL_CAP - used)):
-                trial = fold_into_box(x[i] + visual * rng.uniform(-1.0, 1.0, n))
-                trial_val = evaluate(trial)
-                if trial_val > values[i]:
-                    x[i] = trial
-                    values[i] = trial_val
-                    break
+        i = 0
+        while i < population:
+            if clear[i]:
+                end = i + 1
+                while end < population and clear[end]:
+                    end += 1
+                _prey(objective, x, values, probes, everyone[i:end])
+                i = end
+                continue
+            if turn(i, pulls[i], probes):
+                clear[i + 1 :] &= _farther(x[i : i + 1], start[i + 1 :], visual)[0]
+            i += 1
         objective.close_iteration()

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box
+from .support import BatchObjective, fold_into_box, roulette
 
 EVAL_FACTOR = 1
 
@@ -55,8 +55,7 @@ def step_swarm(snapshot, lucif, radius, constants, r_sense, picks, probes):
     # Rows without a neighbor count every column; their target is only kept
     # in range, since they do not move toward it.
     cum = np.cumsum(np.where(brighter, lucif[None, :] - lucif[:, None], 0.0), axis=1)
-    chosen = (cum <= (picks * cum[:, -1])[:, None]).sum(axis=1)
-    target = np.minimum(chosen, len(snapshot) - 1)
+    target = roulette(cum, picks)
 
     d = snapshot[target] - snapshot
     norm = np.linalg.norm(d, axis=1)

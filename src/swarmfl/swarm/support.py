@@ -19,6 +19,7 @@ __all__ = [
     "decode_rows",
     "keyed_sample",
     "levy_sample",
+    "roulette",
     "BatchObjective",
 ]
 
@@ -66,13 +67,26 @@ def keyed_sample(weights: np.ndarray, races: np.ndarray, k: int) -> np.ndarray:
     return (races / weights).argsort(axis=-1, kind="stable")[..., :k]
 
 
+def roulette(cum: np.ndarray, u) -> np.ndarray:
+    """Roulette pick: the first index whose cumulative weight exceeds ``u * total``.
+
+    ``cum`` holds non-decreasing cumulative weights along its last axis, and
+    ``u`` holds U[0,1) draws that broadcast against its leading axes (or add
+    one).  Counting the sums at or below the threshold equals
+    ``searchsorted(cum, u * total, side="right")``.  The pick is clipped to
+    the last index, in case rounding puts the threshold at the total.
+    """
+    threshold = u * cum[..., -1]
+    return np.minimum((cum <= threshold[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+
+
 def fold_into_box(coords: np.ndarray) -> np.ndarray:
     """Reflect out-of-box coordinates back into [0,1].
 
     Plain clamping piles coordinates up on the walls, where rank decoding
     degenerates into index-order tie-breaking; reflection keeps them spread.
     Coordinates with |x| > 2 land on the 0 wall.  Three ufunc calls keep this
-    cheap on the scalars and single rows that fish and bee move.
+    cheap on the single rows and small batches that fish and bee move.
     """
     folded = np.abs(coords)
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
@@ -108,7 +122,10 @@ class BatchObjective:
             self._dists = np.asarray(objective.class_distributions, dtype=float)
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Objective value for each (m, k) row of distinct client indices."""
+        """Objective value for each (m, k) row of distinct client indices.
+
+        An empty batch returns an empty array and changes nothing.
+        """
         rows = np.asarray(rows)
         if self.evaluations + rows.shape[0] > self.budget:
             raise RuntimeError(
@@ -126,6 +143,8 @@ class BatchObjective:
                 n_classes
             )
         self.evaluations += rows.shape[0]
+        if values.size == 0:
+            return values
         i = int(np.argmax(values))
         if values[i] > self.best_value:
             self.best_value = float(values[i])

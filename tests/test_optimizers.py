@@ -1,3 +1,4 @@
+import functools
 import importlib
 
 import numpy as np
@@ -16,6 +17,7 @@ from swarmfl.swarm import (
     OptimizerParams,
     SelectionProblem,
     bee,
+    fish,
     glowworm,
     iwd,
     optimize,
@@ -199,14 +201,17 @@ def test_bee_neighbor_reflects_off_the_walls():
     # Sources hug both walls and partners sit across the box, so about half
     # the moves overshoot; clamping would leave those exactly on a wall.
     rng = np.random.default_rng(23)
-    n_sources, n = 6, 5
+    n_sources, n, moves = 6, 5, 3000
     x = np.concatenate(
         [rng.uniform(1e-3, 0.02, (3, n)), rng.uniform(0.98, 1.0 - 1e-3, (3, n))]
     )
-    for _ in range(3000):
-        i = int(rng.integers(n_sources))
-        cand = bee._neighbor(x, i, n_sources, n, rng)
-        assert np.all((cand > 0.0) & (cand < 1.0)), cand
+    sources = rng.integers(n_sources, size=moves)
+    others = rng.integers(n_sources - 1, size=moves)
+    partners = others + (others >= sources)
+    dims = rng.integers(n, size=moves)
+    phis = rng.uniform(-1.0, 1.0, moves)
+    cand = bee.propose(x, sources, dims, partners, phis)
+    assert np.all((cand > 0.0) & (cand < 1.0))
 
 
 # --- vector update rules against per-step reference loops -------------------------
@@ -292,3 +297,223 @@ def test_glowworm_vector_step_matches_per_worm_loop(idle_probe):
         )
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
         np.testing.assert_array_equal(got_radius, expected_radius)
+
+
+# --- batched asynchronous selectors against per-agent reference loops -------------
+
+
+def reference_fish_run(n, k, population, iterations, objective, constants, rng, fired):
+    """Fish one at a time on fish's per-iteration draws, counting branches."""
+    visual = constants["visual"]
+    step = constants["step"]
+    delta = constants["crowding"]
+    tries = min(int(constants["try_number"]), 3)
+
+    x = rng.random((population, n))
+    values = objective.value_positions(x)
+
+    def evaluate(point):
+        return float(objective.value_positions(point[None, :])[0])
+
+    for _ in range(iterations):
+        offsets = rng.uniform(-1.0, 1.0, (population, tries, n))
+        pulls = rng.random(population)
+
+        def drift(i, target):
+            d = target - x[i]
+            norm = np.linalg.norm(d)
+            if norm == 0.0:
+                return x[i].copy()
+            return fold_into_box(x[i] + step * pulls[i] * d / norm)
+
+        for i in range(population):
+            dist = np.linalg.norm(x - x[i], axis=1)
+            dist[i] = np.inf
+            neighbors = np.flatnonzero(dist < visual)
+            crowded = len(neighbors) / population >= delta
+            used = 0
+            if len(neighbors) > 0 and not crowded:
+                j = neighbors[int(np.argmax(values[neighbors]))]
+                if values[j] > values[i]:
+                    fired["follow"] += 1
+                    x[i] = drift(i, x[j])
+                    values[i] = evaluate(x[i])
+                    continue
+                center = x[neighbors].mean(axis=0)
+                center_val = evaluate(center)
+                used = 1
+                if center_val > values[i]:
+                    fired["centre"] += 1
+                    x[i] = drift(i, center)
+                    values[i] = evaluate(x[i])
+                    continue
+            elif len(neighbors) > 0:
+                fired["crowded"] += 1
+            for p in range(min(tries, 3 - used)):
+                trial = fold_into_box(x[i] + visual * offsets[i, p])
+                trial_val = evaluate(trial)
+                if trial_val > values[i]:
+                    x[i] = trial
+                    values[i] = trial_val
+                    break
+        objective.close_iteration()
+
+
+def reference_bee_run(n, k, population, iterations, objective, constants, rng):
+    """The per-bee loop: one move, one scalar draw set and one call at a time."""
+    floor = constants["selection_floor"]
+    n_sources = max(2, population // 2)
+    n_onlookers = population - n_sources
+    limit = n_sources * n
+
+    x = rng.random((n_sources, n))
+    values = objective.value_positions(x)
+    trials = np.zeros(n_sources, dtype=int)
+
+    def neighbor(i):
+        j = int(rng.integers(n))
+        partner = int(rng.integers(n_sources - 1))
+        if partner >= i:
+            partner += 1
+        phi = rng.uniform(-1.0, 1.0)
+        cand = x[i].copy()
+        cand[j] = fold_into_box(cand[j] + phi * (cand[j] - x[partner][j]))
+        return cand
+
+    def try_replace(i, cand):
+        val = objective.value_positions(cand[None, :])[0]
+        if val > values[i]:
+            x[i] = cand
+            values[i] = val
+            trials[i] = 0
+        else:
+            trials[i] += 1
+
+    for _ in range(iterations):
+        for i in range(n_sources):
+            try_replace(i, neighbor(i))
+
+        weights = np.maximum(values - values.min(), floor)
+        cum = np.cumsum(weights)
+        for _ in range(n_onlookers):
+            r = rng.random() * cum[-1]
+            i = min(int(np.searchsorted(cum, r, side="right")), n_sources - 1)
+            try_replace(i, neighbor(i))
+
+        stale = int(np.argmax(trials))
+        if trials[stale] > limit:
+            x[stale] = rng.random(n)
+            values[stale] = objective.value_positions(x[stale][None, :])[0]
+            trials[stale] = 0
+        objective.close_iteration()
+
+
+def coverage_problem(n, k, seed, bonus):
+    rng = np.random.default_rng(seed)
+    profiles = sample_client_profiles(n, NoiseSpec(0.0), rng)
+    mixes = rng.dirichlet(np.full(2, 0.5), size=n)
+    obj = SubsetObjective(profiles=profiles, coverage_bonus=bonus, class_distributions=mixes)
+    return SelectionProblem(n_clients=n, k=k, objective=obj)
+
+
+def run_recording(problem, params, monkeypatch, reference=None):
+    """optimize, plus the positions scored in each iteration, in order.
+
+    Positions, not decoded rows, so that a move computed from stale state
+    shows even when it decodes to the same subset.  With ``reference`` given,
+    it replaces the algorithm module's ``run``.
+    """
+    scored = [[]]
+    value_positions = BatchObjective.value_positions
+    close_iteration = BatchObjective.close_iteration
+
+    def recording(self, coords):
+        scored[-1].extend(map(tuple, coords.tolist()))
+        return value_positions(self, coords)
+
+    def closing(self):
+        scored.append([])
+        close_iteration(self)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BatchObjective, "value_positions", recording)
+        patch.setattr(BatchObjective, "close_iteration", closing)
+        if reference is not None:
+            module = importlib.import_module(f"swarmfl.swarm.{params.algorithm}")
+            patch.setattr(module, "run", reference)
+        result = optimize(problem, params)
+    return result, scored
+
+
+def assert_same_result(got, expected):
+    assert got.best_subset == expected.best_subset
+    assert got.best_value.hex() == expected.best_value.hex()
+    assert got.trace == expected.trace
+    assert got.evaluations == expected.evaluations
+
+
+# (problem, constants, optimizer seed)
+FISH_CASES = [
+    (sampled_problem(10, 3, seed=51), {}, 0),
+    (coverage_problem(12, 4, seed=52, bonus=0.3), {}, 1),
+    (sampled_problem(25, 10, seed=53), {}, 2),
+    (sampled_problem(50, 20, seed=54), {}, 3),
+]
+# Fish see neighbours here.  The last case reaches the swarm-to-centre drift;
+# in the one before it a drift lands within sight of a fish that was clear.
+DENSE_FISH_CASES = [
+    (sampled_problem(2, 1, seed=55), {}, 4),
+    (sampled_problem(3, 2, seed=56), {}, 5),
+    (sampled_problem(5, 2, seed=57), {}, 6),
+    (sampled_problem(10, 3, seed=58), {"visual": 1.0}, 7),
+    (sampled_problem(10, 3, seed=82), {"visual": 0.7}, 2),
+    (coverage_problem(8, 4, seed=62, bonus=0.5), {"visual": 1.0}, 8),
+]
+
+
+def test_fish_lockstep_matches_per_fish_loop(monkeypatch):
+    # Lockstep prey reorders evaluations within an iteration, so each
+    # iteration's scored positions are compared as a multiset.
+    fired = {"follow": 0, "centre": 0, "crowded": 0}
+    reference = functools.partial(reference_fish_run, fired=fired)
+    for problem, constants, seed in FISH_CASES + DENSE_FISH_CASES:
+        params = OptimizerParams(
+            "fish", population=20, iterations=60, seed=seed, algo_constants=constants
+        )
+        got, got_scored = run_recording(problem, params, monkeypatch)
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference)
+        assert_same_result(got, expected)
+        assert [sorted(it) for it in got_scored] == [sorted(it) for it in expected_scored]
+    # The dense cases must reach every sequential branch, not only prey.
+    assert min(fired.values()) > 0, fired
+
+
+@pytest.mark.parametrize("population", [2, 3, 7, 20])
+def test_bee_runs_match_per_bee_loop(population, monkeypatch):
+    problems = [
+        sampled_problem(10, 3, seed=61),
+        coverage_problem(12, 4, seed=62, bonus=0.3),
+        sampled_problem(25, 10, seed=63),
+        sampled_problem(3, 2, seed=64),
+    ]
+    for seed, problem in enumerate(problems):
+        params = OptimizerParams("bee", population=population, iterations=60, seed=seed)
+        got, got_scored = run_recording(problem, params, monkeypatch)
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference_bee_run)
+        assert_same_result(got, expected)
+        assert got_scored == expected_scored
+
+
+@pytest.mark.parametrize("name, calls_per_iteration", [("fish", 4), ("bee", 8)])
+def test_batched_selectors_make_few_calls(name, calls_per_iteration, monkeypatch):
+    calls = []
+    original = BatchObjective.value_rows
+
+    def counting(self, rows):
+        calls.append(len(rows))
+        return original(self, rows)
+
+    monkeypatch.setattr(BatchObjective, "value_rows", counting)
+    params = OptimizerParams(name, seed=65)
+    optimize(sampled_problem(25, 10, seed=65), params)
+    assert len(calls) <= 1 + calls_per_iteration * params.iterations

@@ -251,6 +251,18 @@ def test_batch_rejects_calls_past_the_budget():
         batch.value_rows(np.array([[0, 1]]))
 
 
+def test_batch_of_no_rows_changes_nothing():
+    batch = BatchObjective(make_objective(6, seed=16, coverage=0.6), k=2, budget=2)
+    assert batch.value_rows(np.empty((0, 2), dtype=int)).shape == (0,)
+    assert batch.evaluations == 0
+    assert batch.best_row is None and batch.best_value == -math.inf
+    batch.value_rows(np.array([[0, 1], [2, 3]]))
+    best_row, best_value = batch.best_row.copy(), batch.best_value
+    assert batch.value_positions(np.empty((0, 6))).shape == (0,)  # even at the budget
+    assert batch.evaluations == 2
+    assert list(batch.best_row) == list(best_row) and batch.best_value == best_value
+
+
 def test_tracker_keeps_strictly_better_only():
     batch = BatchObjective(scored_objective([0.5, 0.9, 0.9, 0.91]), k=1, budget=10)
     batch.value_rows(np.array([[0], [1]]))
