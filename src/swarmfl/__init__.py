@@ -1,102 +1,24 @@
 """Swarm-intelligence client selection for simulated federated intrusion detection."""
 
-from .datagen import (
-    DatasetSpec,
-    LabeledDataset,
-    NoiseSpec,
-    ParticipationSchedule,
-    PartitionSpec,
-    corrupt_labels,
-    dirichlet_partition,
-    gen_dataset,
-    participation_at,
-    sample_client_profiles,
-)
-from .errors import ConfigError
-from .experiments import (
-    ExperimentConfig,
-    ReportTable,
-    emit_report,
-    hash64,
-    load_config,
-    run_experiment,
-)
-from .fitness import (
-    ClientProfile,
-    FitnessWeights,
-    SubsetObjective,
-    client_fitness,
-    greedy_topk,
-    subset_objective,
-)
-from .flsim import (
-    ClientState,
-    GlobalMetrics,
-    ModelParams,
-    RoundRecord,
-    SessionConfig,
-    build_clients,
-    evaluate_global,
-    fed_avg,
-    local_train,
-    logistic_loss,
-    loss_gradient,
-    run_round,
-    run_session,
-)
-from .swarm import (
-    ALGORITHM_NAMES,
-    OptimizerParams,
-    SelectionProblem,
-    SelectionResult,
-    levy_sample,
-    optimize,
-)
+from .datagen import NoiseSpec, ParticipationSchedule, sample_client_profiles
+from .experiments import hash64
+from .fitness import SubsetObjective
+from .flsim import SessionConfig, run_session
+from .swarm import OptimizerParams, SelectionProblem, SelectionResult, optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHM_NAMES",
-    "ClientProfile",
-    "ClientState",
-    "ConfigError",
-    "DatasetSpec",
-    "ExperimentConfig",
-    "FitnessWeights",
-    "GlobalMetrics",
-    "LabeledDataset",
-    "ModelParams",
     "NoiseSpec",
     "OptimizerParams",
     "ParticipationSchedule",
-    "PartitionSpec",
-    "ReportTable",
-    "RoundRecord",
     "SelectionProblem",
     "SelectionResult",
     "SessionConfig",
     "SubsetObjective",
-    "build_clients",
-    "client_fitness",
-    "corrupt_labels",
-    "dirichlet_partition",
-    "emit_report",
-    "evaluate_global",
-    "fed_avg",
-    "gen_dataset",
-    "greedy_topk",
     "hash64",
-    "levy_sample",
-    "load_config",
-    "local_train",
-    "logistic_loss",
-    "loss_gradient",
     "optimize",
-    "participation_at",
-    "run_experiment",
-    "run_round",
     "run_session",
     "sample_client_profiles",
-    "subset_objective",
     "__version__",
 ]

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.special import expit
 
 from .datagen import (
     DatasetSpec,
@@ -118,9 +117,22 @@ def logistic_loss(params: ModelParams, data: LabeledDataset) -> float:
     return float(per_sample.mean())
 
 
+def _residual(features, weights, bias, labels) -> np.ndarray:
+    """Sigmoid of the logits minus the labels: the logistic loss's gradient factor.
+
+    The one place the sigmoid is computed, for training and for
+    ``loss_gradient`` alike.  Below a logit of about -709, ``exp`` overflows
+    to inf and the sigmoid is exactly 0; callers hold one
+    ``np.errstate(over="ignore")`` around their calls, so that overflow raises
+    no warning without paying for a context on every minibatch.
+    """
+    return 1.0 / (1.0 + np.exp(-(features @ weights + bias))) - labels
+
+
 def loss_gradient(params: ModelParams, data: LabeledDataset):
     """Analytic gradient of ``logistic_loss`` wrt weights and bias."""
-    err = expit(_logits(params, data.features)) - data.labels
+    with np.errstate(over="ignore"):
+        err = _residual(data.features, params.weights, params.bias, data.labels)
     grad_w = data.features.T @ err / len(data)
     grad_b = float(err.mean())
     return grad_w, grad_b
@@ -144,12 +156,13 @@ def local_train(
     w = params.weights.copy()
     b = params.bias
     order = rng.permutation(len(data))
-    for lo in range(0, len(data), batch_size):
-        idx = order[lo : lo + batch_size]
-        x_b = data.features[idx]
-        err = expit(x_b @ w + b) - data.labels[idx]
-        w -= lr * (x_b.T @ err) / idx.size
-        b -= lr * float(err.mean())
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(data), batch_size):
+            idx = order[lo : lo + batch_size]
+            x_b = data.features[idx]
+            err = _residual(x_b, w, b, data.labels[idx])
+            w -= lr * (x_b.T @ err) / idx.size
+            b -= lr * float(err.mean())
     if not np.all(np.isfinite(w)) or not math.isfinite(b):
         raise FloatingPointError("training produced non-finite parameters")
     return ModelParams(weights=w, bias=b)
@@ -209,41 +222,41 @@ def selection_size(select_fraction: float, pool_size: int) -> int:
 def run_round(
     global_params: ModelParams,
     pool,
-    optimizer: OptimizerParams,
-    weights: FitnessWeights,
-    select_fraction: float,
+    config: SessionConfig,
     test: LabeledDataset,
     rng: np.random.Generator,
     epoch: int = 0,
-    coverage_bonus: float = 0.0,
-    lr: float = 0.1,
-    batch_size: int = 32,
 ):
     """One federated round over the given client pool.
 
+    Reads the optimizer, fitness weights, selection fraction, coverage bonus,
+    learning rate and batch size from ``config``; the pool and test set come
+    in ready-made, so its schedule, dataset, partition and noise go unread.
     Consumes the generator in a fixed order: one draw for the per-round
     optimizer seed, then one shuffle per selected client in ascending pool
     index.  Returns the new global parameters and the round's record.
     """
     if not pool:
         raise ValueError("pool must be nonempty")
-    k = selection_size(select_fraction, len(pool))
+    k = selection_size(config.select_fraction, len(pool))
 
     objective = SubsetObjective(
         profiles=[c.profile for c in pool],
-        weights=weights,
-        coverage_bonus=coverage_bonus,
+        weights=config.weights,
+        coverage_bonus=config.coverage_bonus,
         class_distributions=(
-            [c.class_distribution for c in pool] if coverage_bonus > 0 else None
+            [c.class_distribution for c in pool] if config.coverage_bonus > 0 else None
         ),
     )
     problem = SelectionProblem(n_clients=len(pool), k=k, objective=objective)
     round_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
-    result = optimize(problem, replace(optimizer, seed=round_seed))
+    result = optimize(problem, replace(config.optimizer, seed=round_seed))
 
     updates = []
     for i in sorted(result.best_subset):
-        trained = local_train(global_params, pool[i].data, lr, batch_size, rng)
+        trained = local_train(
+            global_params, pool[i].data, config.lr, config.batch_size, rng
+        )
         updates.append((trained, len(pool[i].data)))
     new_global = fed_avg(updates)
     metrics = evaluate_global(new_global, test)
@@ -328,17 +341,7 @@ def run_session(config: SessionConfig, seed: int) -> list:
     for epoch in range(config.schedule.epochs):
         available = participation_at(config.schedule, epoch)
         params, record = run_round(
-            params,
-            clients[:available],
-            config.optimizer,
-            config.weights,
-            config.select_fraction,
-            test,
-            rng,
-            epoch=epoch,
-            coverage_bonus=config.coverage_bonus,
-            lr=config.lr,
-            batch_size=config.batch_size,
+            params, clients[:available], config, test, rng, epoch=epoch
         )
         records.append(record)
     return records

@@ -16,14 +16,13 @@ import numpy as np
 from ..errors import ConfigError
 from ..fitness import SubsetObjective
 from . import aco, bat, bee, cuckoo, fish, glowworm, gwo, iwd, pso
-from .support import BatchObjective, levy_sample
+from .support import BatchObjective
 
 __all__ = [
     "ALGORITHM_NAMES",
     "OptimizerParams",
     "SelectionProblem",
     "SelectionResult",
-    "levy_sample",
     "optimize",
 ]
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box
+from .support import BatchObjective, bounce, fold_into_box
 
 EVAL_FACTOR = 2
 
@@ -52,11 +52,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     for t in range(iterations):
         pulse = r0 * (1.0 - np.exp(-gamma * t))
         freq = rng.uniform(0.0, fmax, population)
-        v = np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax)
-        flight = x + v
-        out = (flight < 0.0) | (flight > 1.0)
-        v = np.where(out, -v, v)
-        flight = fold_into_box(flight)
+        flight, v = bounce(x, np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax))
 
         walk_gate = rng.random(population) > pulse
         eps = rng.normal(0.0, 1.0, (population, n))

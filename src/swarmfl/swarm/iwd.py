@@ -72,7 +72,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     soil = np.full(n, constants["soil_init"])
     eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
-    eta_inv = 1.0 / np.maximum(eta, constants["eta_floor"])
+    eta_inv = 1.0 / eta
 
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box
+from .support import BatchObjective, bounce
 
 EVAL_FACTOR = 1
 
@@ -53,11 +53,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
             mask = rng.random(population) < crazy
             fresh = rng.uniform(-vmax, vmax, (population, n))
             v = np.where(mask[:, None], fresh, v)
-        v = np.clip(v, -vmax, vmax)
-        raw = x + v
-        out = (raw < 0.0) | (raw > 1.0)
-        v = np.where(out, -v, v)
-        x = fold_into_box(raw)
+        x, v = bounce(x, np.clip(v, -vmax, vmax))
         values = objective.value_positions(x)
 
         improved = values > pbest_val

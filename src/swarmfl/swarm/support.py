@@ -16,6 +16,7 @@ import numpy as np
 from ..fitness import SubsetObjective, client_fitness
 
 __all__ = [
+    "bounce",
     "decode_rows",
     "keyed_sample",
     "levy_sample",
@@ -90,6 +91,18 @@ def fold_into_box(coords: np.ndarray) -> np.ndarray:
     """
     folded = np.abs(coords)
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
+
+
+def bounce(x: np.ndarray, v: np.ndarray):
+    """Step ``x`` by ``v`` off the box walls; returns the new position and velocity.
+
+    Each velocity component whose step leaves [0,1] flips sign, and the step
+    is folded back into the box, so a velocity clamped at its limit cannot
+    keep pushing a coordinate into a wall.
+    """
+    raw = x + v
+    out = (raw < 0.0) | (raw > 1.0)
+    return fold_into_box(raw), np.where(out, -v, v)
 
 
 class BatchObjective:

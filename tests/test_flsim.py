@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from swarmfl import flsim
 from swarmfl.datagen import (
     DatasetSpec,
     LabeledDataset,
@@ -9,7 +16,7 @@ from swarmfl.datagen import (
     PartitionSpec,
     sample_client_profiles,
 )
-from swarmfl.fitness import FitnessWeights, SubsetObjective, subset_objective
+from swarmfl.fitness import SubsetObjective, subset_objective
 from swarmfl.flsim import (
     ClientState,
     GlobalMetrics,
@@ -161,12 +168,52 @@ def test_training_is_deterministic_given_seed():
 
 
 def test_full_batch_epoch_equals_one_gradient_step():
-    data = random_dataset(32, 4, 13)
-    start = ModelParams(weights=np.full(4, 0.1), bias=0.2)
-    out = local_train(start, data, lr=0.3, batch_size=64, rng=np.random.default_rng(14))
-    grad_w, grad_b = loss_gradient(start, data)
-    assert np.allclose(out.weights, start.weights - 0.3 * grad_w, atol=1e-12)
-    assert out.bias == pytest.approx(start.bias - 0.3 * grad_b, abs=1e-12)
+    # One epoch in one batch sums the same residuals as loss_gradient in
+    # shuffled row order, so the two agree to rounding, not bit for bit.
+    # At scale 400 most logits are past the sigmoid's overflow point.
+    for n, d, seed, scale in [(32, 4, 13, 0.1), (7, 2, 17, 1.0), (50, 6, 18, 400.0)]:
+        data = random_dataset(n, d, seed)
+        start = ModelParams(weights=np.full(d, scale), bias=0.2)
+        out = local_train(start, data, lr=0.3, batch_size=64, rng=np.random.default_rng(seed + 1))
+        grad_w, grad_b = loss_gradient(start, data)
+        np.testing.assert_allclose(out.weights, start.weights - 0.3 * grad_w, rtol=0, atol=1e-12)
+        assert out.bias == pytest.approx(start.bias - 0.3 * grad_b, abs=1e-12)
+
+
+@pytest.mark.parametrize("logit, sigmoid", [(800.0, 1.0), (-800.0, 0.0), (0.0, 0.5)])
+def test_sigmoid_is_exact_at_extreme_logits_without_warning(logit, sigmoid):
+    data = dataset([[1.0]], [0])
+    params = ModelParams(weights=np.array([logit]), bias=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grad_w, grad_b = loss_gradient(params, data)
+        out = local_train(params, data, lr=1.0, batch_size=1, rng=np.random.default_rng(0))
+    assert grad_b == sigmoid and grad_w[0] == sigmoid
+    assert out.bias == -sigmoid and out.weights[0] == logit - sigmoid
+
+
+def test_training_and_gradient_share_the_residual_kernel(monkeypatch):
+    calls = []
+    kernel = flsim._residual
+
+    def counted(features, weights, bias, labels):
+        calls.append(len(labels))
+        return kernel(features, weights, bias, labels)
+
+    monkeypatch.setattr(flsim, "_residual", counted)
+    data = random_dataset(30, 3, 19)
+    local_train(ModelParams.zeros(3), data, 0.1, 8, np.random.default_rng(20))
+    assert calls == [8, 8, 8, 6]
+    loss_gradient(ModelParams.zeros(3), data)
+    assert calls[4:] == [30]
+
+
+def test_import_leaves_scipy_out():
+    probe = "import sys, swarmfl; print('scipy' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_local_train_argument_errors():
@@ -331,7 +378,7 @@ def small_pool(n, seed):
 def test_run_round_selection_count_and_value():
     config, clients, test = small_pool(5, 19)
     new_params, record = run_round(
-        ModelParams.zeros(4), clients, FAST_OPT, FitnessWeights(), 0.5, test,
+        ModelParams.zeros(4), clients, replace(config, select_fraction=0.5), test,
         np.random.default_rng(20),
     )
     assert record.available == 5
@@ -347,7 +394,7 @@ def test_run_round_selection_count_and_value():
 def test_run_round_full_fraction_is_plain_fedavg():
     config, clients, test = small_pool(4, 21)
     new_params, record = run_round(
-        ModelParams.zeros(4), clients, FAST_OPT, FitnessWeights(), 1.0, test,
+        ModelParams.zeros(4), clients, replace(config, select_fraction=1.0), test,
         np.random.default_rng(22),
     )
     assert record.selected == set(range(4))
@@ -365,10 +412,9 @@ def test_run_round_full_fraction_is_plain_fedavg():
 
 
 def test_run_round_rejects_empty_pool():
-    _, _, test = small_pool(3, 23)
+    config, _, test = small_pool(3, 23)
     with pytest.raises(ValueError):
-        run_round(ModelParams.zeros(4), [], FAST_OPT, FitnessWeights(), 0.5, test,
-                  np.random.default_rng(24))
+        run_round(ModelParams.zeros(4), [], config, test, np.random.default_rng(24))
 
 
 def test_build_clients_covers_largest_pool():

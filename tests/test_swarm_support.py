@@ -7,6 +7,7 @@ from swarmfl.fitness import ClientProfile, FitnessWeights, SubsetObjective, subs
 from swarmfl.swarm.support import (
     BatchObjective,
     _levy_sigma,
+    bounce,
     decode_rows,
     fold_into_box,
     keyed_sample,
@@ -171,6 +172,15 @@ def test_keyed_sample_k_equals_n_returns_every_index():
 
 
 # --- fold_into_box --------------------------------------------------------------
+
+
+def test_bounce_flips_only_the_components_that_leave_the_box():
+    x = np.array([[0.1, 0.5, 0.9, 0.0]])
+    v = np.array([[-0.3, 0.2, 0.3, 0.0]])
+    new_x, new_v = bounce(x, v)
+    np.testing.assert_allclose(new_x, [[0.2, 0.7, 0.8, 0.0]], atol=1e-15)
+    np.testing.assert_array_equal(new_v, [[0.3, 0.2, -0.3, 0.0]])
+    np.testing.assert_array_equal(x, [[0.1, 0.5, 0.9, 0.0]])
 
 
 def test_fold_hand_case():
