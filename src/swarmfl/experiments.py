@@ -449,81 +449,111 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 # --- JSON config loading -------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "experiment",
-    "algorithms",
-    "client_counts",
-    "epochs",
-    "schedule_kind",
-    "noise_levels",
-    "partition",
-    "runs",
-    "base_seed",
-    "weights",
-    "select_fraction",
-    "coverage_bonus",
-    "lr",
-    "batch_size",
-    "optimizer",
-    "dataset",
+def _integer(value, key):
+    """A JSON integer; booleans are not integers here."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, key):
+    """A JSON integer or float; booleans and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    return value
+
+
+def _real(value, key):
+    """A JSON number, read as a float."""
+    return float(_number(value, key))
+
+
+def _string(value, key):
+    if not isinstance(value, str):
+        raise ConfigError(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _array_of(element):
+    """A JSON array whose items all pass ``element``; returned as a tuple."""
+
+    def check(value, key):
+        if not isinstance(value, list):
+            raise ConfigError(f"{key} must be an array, got {value!r}")
+        return tuple(element(item, f"{key}[{i}]") for i, item in enumerate(value))
+
+    return check
+
+
+_TOP_LEVEL_FIELDS = {
+    "experiment": _string,
+    "algorithms": _array_of(_string),
+    "client_counts": _array_of(_integer),
+    "epochs": _integer,
+    "schedule_kind": _string,
+    "noise_levels": _array_of(_real),
+    "runs": _integer,
+    "base_seed": _integer,
+    "select_fraction": _real,
+    "coverage_bonus": _real,
+    "lr": _real,
+    "batch_size": _integer,
 }
 
-_NESTED_KEYS = {
-    "partition": {"mode", "alpha"},
-    "weights": {"w1", "w2", "w3"},
-    "optimizer": {"population", "iterations"},
-    "dataset": {"n_train_per_client", "n_test", "n_features", "class_separation"},
+_SECTIONS = {
+    "partition": {"mode": _string, "alpha": _number},
+    "weights": {"w1": _number, "w2": _number, "w3": _number},
+    "optimizer": {"population": _integer, "iterations": _integer},
+    "dataset": {
+        "n_train_per_client": _integer,
+        "n_test": _integer,
+        "n_features": _integer,
+        "class_separation": _number,
+    },
 }
 
 
-def _check_keys(mapping: dict, allowed: set, prefix: str = "") -> None:
+def _check_keys(mapping: dict, allowed, prefix: str = "") -> None:
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown config key: {prefix}{key}")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a plain dict, rejecting unknown keys."""
+    """Build an ExperimentConfig from a plain dict, rejecting unknown keys.
+
+    Every value must have its JSON type: integer keys take integers only,
+    number keys integers or floats, list keys arrays of those.  Any value
+    the specs reject, by type or by range, raises ``ConfigError``.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_KEYS)
-    for section, allowed in _NESTED_KEYS.items():
+    _check_keys(raw, _TOP_LEVEL_FIELDS.keys() | _SECTIONS.keys())
+    sections = {}
+    for section, fields in _SECTIONS.items():
         if section in raw:
             if not isinstance(raw[section], dict):
                 raise ConfigError(f"config key {section} must be an object")
-            _check_keys(raw[section], allowed, prefix=f"{section}.")
+            _check_keys(raw[section], fields, prefix=f"{section}.")
+            sections[section] = {
+                key: fields[key](value, f"{section}.{key}")
+                for key, value in raw[section].items()
+            }
     if "experiment" not in raw:
         raise ConfigError("missing required config key: experiment")
 
-    kwargs: dict = {"experiment": raw["experiment"]}
-    if "algorithms" in raw:
-        kwargs["algorithms"] = tuple(raw["algorithms"])
-    if "client_counts" in raw:
-        kwargs["client_counts"] = tuple(int(c) for c in raw["client_counts"])
-    for key in ("epochs", "runs", "base_seed", "batch_size"):
-        if key in raw:
-            kwargs[key] = int(raw[key])
-    for key in ("select_fraction", "coverage_bonus", "lr"):
-        if key in raw:
-            kwargs[key] = float(raw[key])
-    if "schedule_kind" in raw:
-        kwargs["schedule_kind"] = raw["schedule_kind"]
-    if "noise_levels" in raw:
-        kwargs["noise_levels"] = tuple(float(v) for v in raw["noise_levels"])
+    kwargs = {
+        key: check(raw[key], key) for key, check in _TOP_LEVEL_FIELDS.items() if key in raw
+    }
+    kwargs.update(sections.get("optimizer", {}))
     try:
-        if "partition" in raw:
-            kwargs["partition"] = PartitionSpec(**raw["partition"])
-        if "weights" in raw:
-            kwargs["weights"] = FitnessWeights(**raw["weights"])
-        if "optimizer" in raw:
-            opt = raw["optimizer"]
-            if "population" in opt:
-                kwargs["population"] = int(opt["population"])
-            if "iterations" in opt:
-                kwargs["iterations"] = int(opt["iterations"])
-        if "dataset" in raw:
-            kwargs["dataset"] = DatasetSpec(**raw["dataset"])
-    except ValueError as exc:
+        if "partition" in sections:
+            kwargs["partition"] = PartitionSpec(**sections["partition"])
+        if "weights" in sections:
+            kwargs["weights"] = FitnessWeights(**sections["weights"])
+        if "dataset" in sections:
+            kwargs["dataset"] = DatasetSpec(**sections["dataset"])
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(**kwargs)
 

@@ -7,11 +7,12 @@ trial limit is abandoned and re-scouted uniformly.  At most one scout per
 iteration, so evaluations stay within twice the population per iteration.
 
 Bees move one after another, each seeing the moves before it.  No draw
-depends on the colony's state, so a phase first draws every bee's dimension,
-partner and step (and an onlooker's roulette pick first), as scalar calls in
-the order a per-bee loop makes them.  It then splits the phase into runs in
-which no move reads what an earlier move of the run may write, and scores
-each run in one call: the result is the per-bee loop's, bit for bit.
+depends on the colony's state, so each phase draws its moves as blocks, in a
+fixed order: every bee's dimension, then every partner, then every step (an
+onlooker phase draws its roulette picks first).  It then splits the phase
+into runs in which no move reads what an earlier move of the run may write,
+and scores each run in one call: the result is that of a per-bee loop on the
+same draws, bit for bit.
 """
 
 from __future__ import annotations
@@ -41,33 +42,16 @@ def propose(x, sources, dims, partners, phis):
     return cand
 
 
-def _draw_moves(rng, count, n, n_sources, pick):
-    """Draw ``count`` moves in a per-bee loop's scalar order.
-
-    Each move draws its roulette pick (if ``pick``), its dimension, its
-    partner among the other sources and its step.  Partners are drawn in
-    ``0..n_sources-2`` and skip the source once it is known.
-    """
-    picks, phis = np.zeros(count), np.empty(count)
-    dims, others = np.empty(count, dtype=int), np.empty(count, dtype=int)
-    for m in range(count):
-        if pick:
-            picks[m] = rng.random()
-        dims[m] = rng.integers(n)
-        others[m] = rng.integers(n_sources - 1)
-        phis[m] = rng.uniform(-1.0, 1.0)
-    return picks, dims, others, phis
-
-
 def _runs(sources, dims, partners):
     """Split moves into maximal runs of moves that read nothing the run writes.
 
     A move writes its source's row, but changes only its own dimension.  It
     conflicts with an earlier move of the run on the same source, or with one
-    that moved the partner's source in the same dimension.
+    that moved the partner's source in the same dimension.  The arguments are
+    plain lists.
     """
     start, moved, written = 0, set(), set()
-    for m, (i, j, p) in enumerate(zip(sources.tolist(), dims.tolist(), partners.tolist())):
+    for m, (i, j, p) in enumerate(zip(sources, dims, partners)):
         if i in moved or (p, j) in written:
             yield start, m
             start, moved, written = m, set(), set()
@@ -77,19 +61,29 @@ def _runs(sources, dims, partners):
         yield start, len(sources)
 
 
-def _visit(objective, x, values, trials, sources, dims, others, phis):
-    """Apply a phase's moves in order: greedy replacement and trial counts."""
+def _visit(objective, x, values, trials, sources, rng):
+    """Draw and apply a phase's moves in order: greedy replacement and trial counts.
+
+    Draws every move's dimension, then its partner among the other sources
+    (drawn in ``0..n_sources-2``, skipping the source), then its step.
+    """
+    n_sources, n = x.shape
+    count = len(sources)
+    dims = rng.integers(n, size=count)
+    others = rng.integers(n_sources - 1, size=count)
+    phis = rng.uniform(-1.0, 1.0, count)
     partners = others + (others >= sources)
-    for a, b in _runs(sources, dims, partners):
+    for a, b in _runs(sources.tolist(), dims.tolist(), partners.tolist()):
         src = sources[a:b]
         cand = propose(x, src, dims[a:b], partners[a:b], phis[a:b])
         vals = objective.value_positions(cand)
         better = vals > values[src]
-        won = src[better]
-        x[won] = cand[better]
-        values[won] = vals[better]
         trials[src] += 1
-        trials[won] = 0
+        if better.any():
+            won = src[better]
+            x[won] = cand[better]
+            values[won] = vals[better]
+            trials[won] = 0
 
 
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
@@ -104,13 +98,11 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     employed = np.arange(n_sources)
 
     for _ in range(iterations):
-        _, dims, others, phis = _draw_moves(rng, n_sources, n, n_sources, pick=False)
-        _visit(objective, x, values, trials, employed, dims, others, phis)
+        _visit(objective, x, values, trials, employed, rng)
 
         weights = np.maximum(values - values.min(), floor)
-        picks, dims, others, phis = _draw_moves(rng, n_onlookers, n, n_sources, pick=True)
-        sources = roulette(np.cumsum(weights), picks)
-        _visit(objective, x, values, trials, sources, dims, others, phis)
+        picks = rng.random(n_onlookers)
+        _visit(objective, x, values, trials, roulette(np.cumsum(weights), picks), rng)
 
         stale = int(np.argmax(trials))
         if trials[stale] > limit:

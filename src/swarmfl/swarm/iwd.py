@@ -9,9 +9,10 @@ multiplicative soil reinforcement.  One evaluation per drop per iteration.
 A drop erodes only the client it has just visited, so the weights of the
 clients still open stay fixed for the whole drop.  Its ordered path is
 therefore one keyed sort of Exp(1) races (``support.keyed_sample``), the
-same distribution as step-by-step roulette; velocity and erosion then follow
-along the path in one vector pass.  Drops stay sequential: each one sees the
-soil the previous drops left.
+same distribution as step-by-step roulette.  Velocity and erosion then run
+along the path one visit at a time on plain floats, and only the path's
+entries of the weight vector are refreshed.  Drops stay sequential: each
+one sees the soil the previous drops left.
 
 Erosion and reinforcement rates here are deliberately gentle: literal
 textbook magnitudes collapse the field after a handful of visits at this
@@ -47,42 +48,58 @@ DEFAULTS = {
 def erode(soil, path, eta_inv, constants):
     """Apply one drop's velocity gain and erosion along its ordered path.
 
-    Visits are distinct, so each client's soil is read before its own erosion
-    and the step-by-step updates collapse to one running sum for the velocity
-    and one vector update of ``soil[path]`` (in place).
+    ``soil`` and ``eta_inv`` are lists of floats and ``path`` a list of
+    distinct indices; ``soil`` is updated in place.  Each visit reads its
+    client's soil before eroding it, and the velocity gains add in visit
+    order.
     """
     eps = constants["prob_eps"]
-    visited = soil[path]
-    velocity = constants["velocity_gain"] / (eps + visited)
-    # Adding the initial velocity to the first gain keeps the per-step loop's
-    # order of additions, so the running sums match it exactly.
-    velocity[0] += constants["velocity_init"]
-    np.add.accumulate(velocity, out=velocity)
-    travel_time = eta_inv[path] / velocity
-    delta = constants["erosion_scale"] / (constants["time_eps"] + travel_time**2)
-    eroded = visited - constants["erosion_rate"] * delta
-    np.maximum(eroded, constants["soil_min"], out=eroded)
-    soil[path] = np.minimum(eroded, constants["soil_max"], out=eroded)
+    gain = constants["velocity_gain"]
+    time_eps = constants["time_eps"]
+    scale = constants["erosion_scale"]
+    rate = constants["erosion_rate"]
+    soil_min = constants["soil_min"]
+    soil_max = constants["soil_max"]
+    velocity = constants["velocity_init"]
+    for i in path:
+        s = soil[i]
+        velocity += gain / (eps + s)
+        t = eta_inv[i] / velocity
+        s -= rate * (scale / (time_eps + t * t))
+        # max with soil_min, then min with soil_max, without two builtin calls
+        if s < soil_min:
+            s = soil_min
+        if s > soil_max:
+            s = soil_max
+        soil[i] = s
 
 
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
     eps = constants["prob_eps"]
     soil_min = constants["soil_min"]
     soil_max = constants["soil_max"]
+    reinforce = constants["reinforce"]
 
-    soil = np.full(n, constants["soil_init"])
+    soil = [constants["soil_init"]] * n
+    weights = np.full(n, 1.0 / (eps + constants["soil_init"]))
     eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
-    eta_inv = 1.0 / eta
+    eta_inv = (1.0 / eta).tolist()
 
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
         paths = np.empty((population, k), dtype=int)
         for d in range(population):
-            paths[d] = keyed_sample(1.0 / (eps + soil), races[d], k)
-            erode(soil, paths[d], eta_inv, constants)
+            path = keyed_sample(weights, races[d], k)
+            paths[d] = path
+            visits = path.tolist()
+            erode(soil, visits, eta_inv, constants)
+            weights[path] = [1.0 / (eps + soil[i]) for i in visits]
         rows = np.sort(paths, axis=1)
         values = objective.value_rows(rows)
 
         best = rows[int(np.argmax(values))]
-        soil[best] = np.clip(soil[best] * constants["reinforce"], soil_min, soil_max)
+        picked = best.tolist()
+        for i in picked:
+            soil[i] = min(max(soil[i] * reinforce, soil_min), soil_max)
+        weights[best] = [1.0 / (eps + soil[i]) for i in picked]
         objective.close_iteration()

@@ -51,6 +51,21 @@ def test_validate_bad_config(tmp_path, capsys):
     assert "config error: unknown config key: bogus" in err
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"runs": True}, {"noise_levels": 0.5}, {"dataset": {"n_test": "abc"}}],
+    ids=["runs-bool", "noise_levels-scalar", "dataset-n_test-string"],
+)
+def test_validate_wrong_json_type_is_exit_one(entry, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": "fixed", **entry}), encoding="utf-8")
+    assert main(["validate", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0

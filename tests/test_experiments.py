@@ -311,6 +311,75 @@ def test_parse_config_structural_errors():
         parse_config({"experiment": "fixed", "partition": "iid"})
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"runs": 2.7}, "runs must be an integer"),
+        ({"runs": True}, "runs must be an integer"),
+        ({"epochs": "3"}, "epochs must be an integer"),
+        ({"lr": "0.1"}, "lr must be a number"),
+        ({"select_fraction": False}, "select_fraction must be a number"),
+        ({"algorithms": "gwo"}, "algorithms must be an array"),
+        ({"algorithms": ["gwo", ["pso"]]}, r"algorithms\[1\] must be a string"),
+        ({"client_counts": [4.0]}, r"client_counts\[0\] must be an integer"),
+        ({"noise_levels": 0.5}, "noise_levels must be an array"),
+        ({"noise_levels": [0.5, "0.25"]}, r"noise_levels\[1\] must be a number"),
+        ({"dataset": {"n_test": "abc"}}, "dataset.n_test must be an integer"),
+        ({"dataset": {"class_separation": "2"}}, "dataset.class_separation must be a number"),
+        ({"weights": {"w1": "x"}}, "weights.w1 must be a number"),
+        ({"partition": {"alpha": True}}, "partition.alpha must be a number"),
+        ({"optimizer": {"population": 2.5}}, "optimizer.population must be an integer"),
+        ({"schedule_kind": ["increasing"]}, "schedule_kind must be a string"),
+    ],
+    ids=[
+        "runs-float",
+        "runs-bool",
+        "epochs-string",
+        "lr-string",
+        "select_fraction-bool",
+        "algorithms-string",
+        "algorithms-nested-list",
+        "client_counts-float",
+        "noise_levels-scalar",
+        "noise_levels-string-item",
+        "dataset-n_test-string",
+        "dataset-class_separation-string",
+        "weights-w1-string",
+        "partition-alpha-bool",
+        "optimizer-population-float",
+        "schedule_kind-list",
+    ],
+)
+def test_parse_config_rejects_wrong_json_types(entry, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"experiment": "fixed", **entry})
+
+
+def test_parse_config_number_keys_take_integers():
+    config = parse_config(
+        {
+            "experiment": "noise",
+            "lr": 1,
+            "noise_levels": [0, 1],
+            "weights": {"w1": 2, "w2": 1.0, "w3": 0},
+            "dataset": {"class_separation": 3},
+        }
+    )
+    assert config.lr == 1.0 and isinstance(config.lr, float)
+    assert config.noise_levels == (0.0, 1.0)
+    assert config.weights.w1 == 2
+    assert config.dataset.class_separation == 3
+
+
+def test_parse_config_turns_spec_type_errors_into_config_errors(monkeypatch):
+    def raising(**kwargs):
+        raise TypeError("unsupported operand")
+
+    monkeypatch.setattr("swarmfl.experiments.FitnessWeights", raising)
+    with pytest.raises(ConfigError, match="unsupported operand"):
+        parse_config({"experiment": "fixed", "weights": {"w1": 1.0}})
+
+
 def test_load_config_round_trip_and_errors(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"experiment": "dynamic", "runs": 2}), encoding="utf-8")

@@ -22,7 +22,7 @@ from swarmfl.swarm import (
     iwd,
     optimize,
 )
-from swarmfl.swarm.support import BatchObjective, fold_into_box
+from swarmfl.swarm.support import BatchObjective, fold_into_box, keyed_sample
 
 EVAL_FACTORS = {
     "gwo": 1,
@@ -229,20 +229,61 @@ def reference_iwd_erosion(soil, path, eta_inv, c):
 
 
 def test_iwd_vector_erosion_matches_per_step_loop():
+    # iwd's per-drop kernel runs on plain floats; it must equal the per-visit
+    # loop bit for bit, clip at both bounds and touch only the path.
     rng = np.random.default_rng(21)
     n = 30
     eta_inv = 1.0 / rng.uniform(0.01, 1.5, n)
+    floored = 0
     for trial in range(20):
         soil = rng.uniform(0.01, 30.0, n)
         path = rng.permutation(n)[: 2 + trial]
         soil[path[-1]] = 2e6  # above soil_max: the clip pulls it back down
         expected = soil.copy()
         reference_iwd_erosion(expected, path, eta_inv, iwd.DEFAULTS)
-        got = soil.copy()
-        iwd.erode(got, path, eta_inv, iwd.DEFAULTS)
+        got = soil.tolist()
+        iwd.erode(got, path.tolist(), eta_inv.tolist(), iwd.DEFAULTS)
+        got = np.array(got)
         np.testing.assert_array_equal(got, expected)
         assert got[path[-1]] == iwd.DEFAULTS["soil_max"]
         assert np.array_equal(np.flatnonzero(got != soil), np.sort(path))
+        floored += int(np.sum(got == iwd.DEFAULTS["soil_min"]))
+    assert floored > 0
+
+
+def reference_iwd_vector_erosion(soil, path, eta_inv, constants):
+    """iwd's erosion as one vector update of ``soil[path]`` per drop."""
+    eps = constants["prob_eps"]
+    visited = soil[path]
+    velocity = constants["velocity_gain"] / (eps + visited)
+    velocity[0] += constants["velocity_init"]
+    np.add.accumulate(velocity, out=velocity)
+    travel_time = eta_inv[path] / velocity
+    delta = constants["erosion_scale"] / (constants["time_eps"] + travel_time**2)
+    eroded = visited - constants["erosion_rate"] * delta
+    np.maximum(eroded, constants["soil_min"], out=eroded)
+    soil[path] = np.minimum(eroded, constants["soil_max"], out=eroded)
+
+
+def reference_iwd_run(n, k, population, iterations, objective, constants, rng):
+    """iwd's drop loop in vector form: every drop recomputes the whole weight vector."""
+    eps = constants["prob_eps"]
+    soil = np.full(n, constants["soil_init"])
+    eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
+    eta_inv = 1.0 / eta
+    for _ in range(iterations):
+        races = rng.standard_exponential((population, n))
+        paths = np.empty((population, k), dtype=int)
+        for d in range(population):
+            paths[d] = keyed_sample(1.0 / (eps + soil), races[d], k)
+            reference_iwd_vector_erosion(soil, paths[d], eta_inv, constants)
+        rows = np.sort(paths, axis=1)
+        values = objective.value_rows(rows)
+        best = rows[int(np.argmax(values))]
+        soil[best] = np.clip(
+            soil[best] * constants["reinforce"], constants["soil_min"], constants["soil_max"]
+        )
+        objective.close_iteration()
 
 
 def reference_glowworm_step(snapshot, lucif, radius, c, r_sense, picks, probes):
@@ -360,7 +401,7 @@ def reference_fish_run(n, k, population, iterations, objective, constants, rng, 
 
 
 def reference_bee_run(n, k, population, iterations, objective, constants, rng):
-    """The per-bee loop: one move, one scalar draw set and one call at a time."""
+    """The per-bee loop on bee's per-phase draw blocks: one move and one call at a time."""
     floor = constants["selection_floor"]
     n_sources = max(2, population // 2)
     n_onlookers = population - n_sources
@@ -369,16 +410,6 @@ def reference_bee_run(n, k, population, iterations, objective, constants, rng):
     x = rng.random((n_sources, n))
     values = objective.value_positions(x)
     trials = np.zeros(n_sources, dtype=int)
-
-    def neighbor(i):
-        j = int(rng.integers(n))
-        partner = int(rng.integers(n_sources - 1))
-        if partner >= i:
-            partner += 1
-        phi = rng.uniform(-1.0, 1.0)
-        cand = x[i].copy()
-        cand[j] = fold_into_box(cand[j] + phi * (cand[j] - x[partner][j]))
-        return cand
 
     def try_replace(i, cand):
         val = objective.value_positions(cand[None, :])[0]
@@ -389,16 +420,32 @@ def reference_bee_run(n, k, population, iterations, objective, constants, rng):
         else:
             trials[i] += 1
 
+    def phase(sources):
+        count = len(sources)
+        dims = rng.integers(n, size=count)
+        others = rng.integers(n_sources - 1, size=count)
+        phis = rng.uniform(-1.0, 1.0, count)
+        for m, i in enumerate(sources):
+            j = dims[m]
+            partner = int(others[m])
+            if partner >= i:
+                partner += 1
+            cand = x[i].copy()
+            cand[j] = fold_into_box(cand[j] + phis[m] * (cand[j] - x[partner][j]))
+            try_replace(i, cand)
+
     for _ in range(iterations):
-        for i in range(n_sources):
-            try_replace(i, neighbor(i))
+        phase(range(n_sources))
 
         weights = np.maximum(values - values.min(), floor)
         cum = np.cumsum(weights)
-        for _ in range(n_onlookers):
-            r = rng.random() * cum[-1]
-            i = min(int(np.searchsorted(cum, r, side="right")), n_sources - 1)
-            try_replace(i, neighbor(i))
+        picks = rng.random(n_onlookers)
+        phase(
+            [
+                min(int(np.searchsorted(cum, u * cum[-1], side="right")), n_sources - 1)
+                for u in picks
+            ]
+        )
 
         stale = int(np.argmax(trials))
         if trials[stale] > limit:
@@ -502,6 +549,27 @@ def test_bee_runs_match_per_bee_loop(population, monkeypatch):
         expected, expected_scored = run_recording(problem, params, monkeypatch, reference_bee_run)
         assert_same_result(got, expected)
         assert got_scored == expected_scored
+
+
+def test_iwd_matches_vector_drop_loop(monkeypatch):
+    # Erosion on plain floats and per-path weight refreshes must give exactly
+    # the results of the vector drop loop.
+    problems = [
+        sampled_problem(10, 3, seed=71),
+        coverage_problem(12, 4, seed=72, bonus=0.3),
+        sampled_problem(25, 10, seed=73),
+        sampled_problem(50, 20, seed=74),
+        sampled_problem(3, 3, seed=75),
+        sampled_problem(2, 1, seed=76),
+    ]
+    for problem in problems:
+        for seed in range(4):
+            params = OptimizerParams("iwd", seed=seed)
+            got = optimize(problem, params)
+            with monkeypatch.context() as patch:
+                patch.setattr(iwd, "run", reference_iwd_run)
+                expected = optimize(problem, params)
+            assert_same_result(got, expected)
 
 
 @pytest.mark.parametrize("name, calls_per_iteration", [("fish", 4), ("bee", 8)])
