@@ -145,9 +145,15 @@ class ExperimentConfig:
                 raise ConfigError("client counts must be >= 2")
             if self.experiment == "noise" and len(self.client_counts) != 1:
                 raise ConfigError("noise experiments use a single client count")
-        for level in self.noise_levels:
-            if not 0.0 <= level <= 1.0:
-                raise ConfigError(f"noise level out of [0,1]: {level}")
+        if self.experiment == "noise" and not self.noise_levels:
+            raise ConfigError("noise_levels must be nonempty")
+        # Every other range is checked by the specs a session is built from;
+        # none depends on the algorithm, so one algorithm checks them all.
+        try:
+            for cell in enumerate_configurations(self):
+                session_config(self, cell, self.algorithms[0])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 def enumerate_configurations(config: ExperimentConfig) -> list:

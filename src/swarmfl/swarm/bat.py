@@ -2,11 +2,12 @@
 
 Bats fly at random frequencies relative to the best position while a second
 candidate per bat takes a Gaussian local walk around that best, scaled by the
-mean loudness.  Both candidates are scored every iteration — the flights
-carry exploration, the walks refine the incumbent — so the budget factor is
-2.  The pulse schedule picks which of the two a bat considers adopting; a
-candidate replaces its bat only when it improves and a loudness coin-flip
-accepts it, after which that bat's loudness decays.
+mean loudness.  Both candidates are scored every iteration, flights then
+walks in one evaluator call — the flights carry exploration, the walks refine
+the incumbent — so the budget factor is 2.  The pulse schedule picks which of
+the two a bat considers adopting; a candidate replaces its bat only when it
+improves and a loudness coin-flip accepts it, after which that bat's loudness
+decays.
 
 Velocities start random and are clamped to +/-``velocity_clamp``; a flight
 that would leave the unit box bounces, flipping the offending velocity
@@ -58,8 +59,8 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         eps = rng.normal(0.0, 1.0, (population, n))
         local = fold_into_box(best_x + walk * eps * loud.mean())
 
-        flight_values = objective.value_positions(flight)
-        local_values = objective.value_positions(local)
+        scored = objective.value_positions(np.concatenate([flight, local]))
+        flight_values, local_values = scored[:population], scored[population:]
 
         cand = np.where(walk_gate[:, None], local, flight)
         cand_values = np.where(walk_gate, local_values, flight_values)

@@ -6,6 +6,10 @@ after the pack has largely converged.  Every wolf moves to the average of
 three leader-guided points while the control scalar ``a`` shrinks linearly
 from 2 to 0, trading exploration for exploitation.  One objective evaluation
 per wolf per iteration.
+
+An iteration draws all its coefficients as one ``(3, 2, population, N)``
+block, in the order of one ``r1, r2`` pair per leader, and computes the three
+leader pulls as one array expression.
 """
 
 from __future__ import annotations
@@ -19,6 +23,25 @@ EVAL_FACTOR = 1
 DEFAULTS: dict = {}
 
 
+def _leaders(values: np.ndarray, rows: np.ndarray) -> list:
+    """Indices of the three best wolves with distinct decoded subsets.
+
+    Ties in value go to the lower index.  With fewer than three distinct
+    subsets in the pack, the last leader found is repeated.
+    """
+    picked = []
+    seen = set()
+    row_lists = rows.tolist()
+    for j in (-values).argsort(kind="stable").tolist():
+        key = tuple(row_lists[j])
+        if key not in seen:
+            seen.add(key)
+            picked.append(j)
+            if len(picked) == 3:
+                return picked
+    return picked + [picked[-1]] * (3 - len(picked))
+
+
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
     x = rng.random((population, n))
     rows = decode_rows(x, k)
@@ -26,27 +49,12 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
 
     for t in range(iterations):
         a = 2.0 - 2.0 * t / iterations
-        order = np.argsort(-values, kind="stable")
-        leader_idx = []
-        seen = set()
-        for j in order:
-            key = tuple(rows[j])
-            if key not in seen:
-                seen.add(key)
-                leader_idx.append(j)
-            if len(leader_idx) == 3:
-                break
-        while len(leader_idx) < 3:  # fewer than 3 distinct subsets in the pack
-            leader_idx.append(leader_idx[-1])
-        pulled = np.zeros_like(x)
-        for li in leader_idx:
-            leader = x[li]
-            r1 = rng.random((population, n))
-            r2 = rng.random((population, n))
-            big_a = 2.0 * a * r1 - a
-            big_c = 2.0 * r2
-            pulled += leader - big_a * np.abs(big_c * leader - x)
-        x = fold_into_box(pulled / 3.0)
+        lead = x[_leaders(values, rows)][:, None, :]
+        r = rng.random((3, 2, population, n))
+        p = lead - (2.0 * a * r[:, 0] - a) * np.abs(2.0 * r[:, 1] * lead - x)
+        # Leader order: float addition does not associate, and this order
+        # fixes the positions a seed produces.
+        x = fold_into_box((p[0] + p[1] + p[2]) / 3.0)
         rows = decode_rows(x, k)
         values = objective.value_rows(rows)
         objective.close_iteration()

@@ -31,8 +31,9 @@ def decode_rows(coords: np.ndarray, k: int) -> np.ndarray:
     Row i holds the indices of the k largest coordinates of position i; ties
     go to the lower index (stable sort on the negated coordinates).
     """
-    picked = np.argsort(-coords, axis=-1, kind="stable")[..., :k]
-    return np.sort(picked, axis=-1)
+    picked = (-coords).argsort(axis=-1, kind="stable")[..., :k]
+    picked.sort(axis=-1)
+    return picked
 
 
 def _levy_sigma(beta: float) -> float:
@@ -158,7 +159,7 @@ class BatchObjective:
         self.evaluations += rows.shape[0]
         if values.size == 0:
             return values
-        i = int(np.argmax(values))
+        i = int(values.argmax())
         if values[i] > self.best_value:
             self.best_value = float(values[i])
             self.best_row = np.array(rows[i], copy=True)

@@ -66,6 +66,18 @@ def test_validate_wrong_json_type_is_exit_one(entry, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_validate_out_of_range_value_is_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"experiment": "fixed", "optimizer": {"population": 0}}),
+        encoding="utf-8",
+    )
+    assert main(["validate", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: population must be >= 2\n"
+    assert captured.out == ""
+
+
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0

@@ -156,6 +156,8 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="noise", client_counts=(5, 10))
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="noise", noise_levels=(0.5, 1.5))
+    with pytest.raises(ConfigError, match="noise_levels must be nonempty"):
+        ExperimentConfig(experiment="noise", noise_levels=())
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fixed", client_counts=(1,))
 
@@ -351,6 +353,30 @@ def test_parse_config_structural_errors():
     ],
 )
 def test_parse_config_rejects_wrong_json_types(entry, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"experiment": "fixed", **entry})
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"optimizer": {"population": 0}}, "population must be >= 2"),
+        ({"optimizer": {"iterations": 0}}, "iterations must be >= 1"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
+        ({"select_fraction": 5.0}, r"select_fraction must be in \(0, 1\]"),
+        ({"lr": -1.0}, "lr must be > 0"),
+        ({"coverage_bonus": -1.0}, "coverage_bonus must be nonnegative"),
+    ],
+    ids=[
+        "population-0",
+        "iterations-0",
+        "batch_size-0",
+        "select_fraction-5",
+        "lr-negative",
+        "coverage_bonus-negative",
+    ],
+)
+def test_parse_config_rejects_out_of_range_session_values(entry, message):
     with pytest.raises(ConfigError, match=message):
         parse_config({"experiment": "fixed", **entry})
 

@@ -16,13 +16,21 @@ from swarmfl.swarm import (
     ALGORITHM_NAMES,
     OptimizerParams,
     SelectionProblem,
+    bat,
     bee,
     fish,
     glowworm,
+    gwo,
     iwd,
     optimize,
 )
-from swarmfl.swarm.support import BatchObjective, fold_into_box, keyed_sample
+from swarmfl.swarm.support import (
+    BatchObjective,
+    bounce,
+    decode_rows,
+    fold_into_box,
+    keyed_sample,
+)
 
 EVAL_FACTORS = {
     "gwo": 1,
@@ -572,7 +580,130 @@ def test_iwd_matches_vector_drop_loop(monkeypatch):
             assert_same_result(got, expected)
 
 
-@pytest.mark.parametrize("name, calls_per_iteration", [("fish", 4), ("bee", 8)])
+def reference_gwo_run(n, k, population, iterations, objective, constants, rng):
+    # One leader at a time: two draws and one pull each, summed into zeros.
+    # Positions are decoded through the gwo module, where the test records them.
+    decode_rows = gwo.decode_rows
+    x = rng.random((population, n))
+    rows = decode_rows(x, k)
+    values = objective.value_rows(rows)
+    for t in range(iterations):
+        a = 2.0 - 2.0 * t / iterations
+        order = np.argsort(-values, kind="stable")
+        leader_idx = []
+        seen = set()
+        for j in order:
+            key = tuple(rows[j])
+            if key not in seen:
+                seen.add(key)
+                leader_idx.append(j)
+            if len(leader_idx) == 3:
+                break
+        while len(leader_idx) < 3:
+            leader_idx.append(leader_idx[-1])
+        pulled = np.zeros_like(x)
+        for li in leader_idx:
+            leader = x[li]
+            r1 = rng.random((population, n))
+            r2 = rng.random((population, n))
+            big_a = 2.0 * a * r1 - a
+            big_c = 2.0 * r2
+            pulled += leader - big_a * np.abs(big_c * leader - x)
+        x = fold_into_box(pulled / 3.0)
+        rows = decode_rows(x, k)
+        values = objective.value_rows(rows)
+        objective.close_iteration()
+
+
+def reference_bat_run(n, k, population, iterations, objective, constants, rng):
+    # Flights and walks scored in two calls, flights first.
+    fmax = constants["freq_max"]
+    alpha = constants["loudness_decay"]
+    r0 = constants["pulse_rate"]
+    gamma = constants["pulse_growth"]
+    walk = constants["walk_scale"]
+    vmax = constants["velocity_clamp"]
+    x = rng.random((population, n))
+    v = rng.uniform(-vmax, vmax, (population, n))
+    loud = np.full(population, constants["loudness"])
+    values = objective.value_positions(x)
+    b = int(np.argmax(values))
+    best_x = x[b].copy()
+    best_val = float(values[b])
+    for t in range(iterations):
+        pulse = r0 * (1.0 - np.exp(-gamma * t))
+        freq = rng.uniform(0.0, fmax, population)
+        flight, v = bounce(x, np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax))
+        walk_gate = rng.random(population) > pulse
+        eps = rng.normal(0.0, 1.0, (population, n))
+        local = fold_into_box(best_x + walk * eps * loud.mean())
+        flight_values = objective.value_positions(flight)
+        local_values = objective.value_positions(local)
+        cand = np.where(walk_gate[:, None], local, flight)
+        cand_values = np.where(walk_gate, local_values, flight_values)
+        accept = (rng.random(population) < loud) & (cand_values > values)
+        x[accept] = cand[accept]
+        values[accept] = cand_values[accept]
+        loud[accept] *= alpha
+        b = int(np.argmax(values))
+        if values[b] > best_val:
+            best_x = x[b].copy()
+            best_val = float(values[b])
+        objective.close_iteration()
+
+
+# 3/3 has a single subset and population 2 only two wolves, so both reach
+# gwo's leader padding.
+FUSED_CASES = [
+    sampled_problem(10, 3, seed=91),
+    coverage_problem(12, 4, seed=92, bonus=0.3),
+    sampled_problem(25, 10, seed=93),
+    sampled_problem(50, 20, seed=94),
+    sampled_problem(3, 3, seed=95),
+    sampled_problem(2, 1, seed=96),
+]
+
+
+def run_recording_gwo(problem, params, monkeypatch, reference=None):
+    """optimize, plus every position gwo decodes, so ulp differences show."""
+    decoded = []
+
+    def recording(coords, k):
+        decoded.append(coords.tolist())
+        return decode_rows(coords, k)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gwo, "decode_rows", recording)
+        if reference is not None:
+            patch.setattr(gwo, "run", reference)
+        result = optimize(problem, params)
+    return result, decoded
+
+
+@pytest.mark.parametrize("population", [2, 3, 20])
+def test_gwo_matches_per_leader_loop(population, monkeypatch):
+    for seed, problem in enumerate(FUSED_CASES):
+        params = OptimizerParams("gwo", population=population, seed=seed)
+        got, got_decoded = run_recording_gwo(problem, params, monkeypatch)
+        expected, expected_decoded = run_recording_gwo(
+            problem, params, monkeypatch, reference_gwo_run
+        )
+        assert_same_result(got, expected)
+        assert got_decoded == expected_decoded
+
+
+def test_bat_matches_two_call_loop(monkeypatch):
+    for seed, problem in enumerate(FUSED_CASES):
+        params = OptimizerParams("bat", seed=seed)
+        got, got_scored = run_recording(problem, params, monkeypatch)
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference_bat_run)
+        assert_same_result(got, expected)
+        assert got_scored == expected_scored
+
+
+@pytest.mark.parametrize(
+    "name, calls_per_iteration", [("bat", 1), ("fish", 4), ("bee", 8)]
+)
 def test_batched_selectors_make_few_calls(name, calls_per_iteration, monkeypatch):
     calls = []
     original = BatchObjective.value_rows
