@@ -8,6 +8,7 @@ subsets directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
@@ -91,6 +92,16 @@ class OptimizerParams:
             raise ConfigError(
                 f"unknown {self.algorithm} constants: {sorted(unknown)}"
             )
+        for name, value in self.algo_constants.items():
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, float))
+                or not math.isfinite(value)
+            ):
+                raise ConfigError(
+                    f"{self.algorithm} constant {name!r} must be a finite number,"
+                    f" got {value!r}"
+                )
 
 
 @dataclass(frozen=True)
@@ -110,7 +121,9 @@ def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionRes
     """
     module = _MODULES[params.algorithm]
     constants = dict(module.DEFAULTS)
-    constants.update(params.algo_constants)
+    for name, value in params.algo_constants.items():
+        # numpy would build integer state arrays from an int given for a float knob.
+        constants[name] = float(value) if isinstance(constants[name], float) else value
     rng = np.random.default_rng(params.seed)
     budget = params.population * (params.iterations + 1) * module.EVAL_FACTOR
     objective = BatchObjective(problem.objective, problem.k, budget)

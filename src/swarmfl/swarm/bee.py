@@ -9,17 +9,23 @@ iteration, so evaluations stay within twice the population per iteration.
 Bees move one after another, each seeing the moves before it.  No draw
 depends on the colony's state, so each phase draws its moves as blocks, in a
 fixed order: every bee's dimension, then every partner, then every step (an
-onlooker phase draws its roulette picks first).  It then splits the phase
-into runs in which no move reads what an earlier move of the run may write,
-and scores each run in one call: the result is that of a per-bee loop on the
-same draws, bit for bit.
+onlooker phase draws its roulette picks first).  The colony keeps each
+source's decoded subset next to its position.  A move whose candidate decodes
+to its source's subset scores exactly the source's value, so it cannot win
+and writes nothing; at the default population, on 10/3 to 50/20 problems,
+fewer than one move in five changes the subset.  The phase is scored in runs:
+from the current state, the remaining moves are proposed and decoded, and a
+run ends at the first move whose source, or whose partner's coordinate in the
+moved dimension, an earlier subset-changing move of the run may have written.
+Every move of a run is scored, in order, in one call: the result is that of a
+per-bee loop on the same draws, bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box, roulette
+from .support import BatchObjective, decode_rows, fold_into_box, roulette
 
 EVAL_FACTOR = 2
 
@@ -35,33 +41,33 @@ def propose(x, sources, dims, partners, phis):
     by ``phis[m]`` times its gap to the same coordinate of source
     ``partners[m]``, reflecting at the walls.
     """
+    own = x[sources, dims]
     cand = x[sources]
-    moves = np.arange(len(sources))
-    own = cand[moves, dims]
-    cand[moves, dims] = fold_into_box(own + phis * (own - x[partners, dims]))
+    cand[np.arange(len(sources)), dims] = fold_into_box(
+        own + phis * (own - x[partners, dims])
+    )
     return cand
 
 
-def _runs(sources, dims, partners):
-    """Split moves into maximal runs of moves that read nothing the run writes.
+def _run_end(sources, dims, partners, changed):
+    """Length of the longest prefix of moves that reads nothing the prefix writes.
 
-    A move writes its source's row, but changes only its own dimension.  It
-    conflicts with an earlier move of the run on the same source, or with one
-    that moved the partner's source in the same dimension.  The arguments are
-    plain lists.
+    Only a move whose candidate changes its source's subset can win, so only
+    such a move writes: its source's row and its own dimension.  A later move
+    conflicts with it if it has the same source, or if its partner is that
+    source and it moves the same dimension.  The arguments are plain lists.
     """
-    start, moved, written = 0, set(), set()
-    for m, (i, j, p) in enumerate(zip(sources, dims, partners)):
+    moved, written = set(), set()
+    for m, (i, j, p, c) in enumerate(zip(sources, dims, partners, changed)):
         if i in moved or (p, j) in written:
-            yield start, m
-            start, moved, written = m, set(), set()
-        moved.add(i)
-        written.add((i, j))
-    if start < len(sources):
-        yield start, len(sources)
+            return m
+        if c:
+            moved.add(i)
+            written.add((i, j))
+    return len(sources)
 
 
-def _visit(objective, x, values, trials, sources, rng):
+def _visit(objective, x, rows, values, trials, sources, rng):
     """Draw and apply a phase's moves in order: greedy replacement and trial counts.
 
     Draws every move's dimension, then its partner among the other sources
@@ -73,17 +79,26 @@ def _visit(objective, x, values, trials, sources, rng):
     others = rng.integers(n_sources - 1, size=count)
     phis = rng.uniform(-1.0, 1.0, count)
     partners = others + (others >= sources)
-    for a, b in _runs(sources.tolist(), dims.tolist(), partners.tolist()):
-        src = sources[a:b]
-        cand = propose(x, src, dims[a:b], partners[a:b], phis[a:b])
-        vals = objective.value_positions(cand)
+    start = 0
+    while start < count:
+        src, dim, partner = sources[start:], dims[start:], partners[start:]
+        cand = propose(x, src, dim, partner, phis[start:])
+        crow = decode_rows(cand, rows.shape[1])
+        changed = (crow != rows[src]).any(axis=1)
+        end = _run_end(src.tolist(), dim.tolist(), partner.tolist(), changed.tolist())
+        src, cand, crow = src[:end], cand[:end], crow[:end]
+        vals = objective.value_rows(crow)
+        # A source may recur in a run, and every visit counts as a trial; a
+        # winner is its source's last move in the run, so its reset comes last.
+        trials += np.bincount(src, minlength=n_sources)
         better = vals > values[src]
-        trials[src] += 1
         if better.any():
             won = src[better]
             x[won] = cand[better]
+            rows[won] = crow[better]
             values[won] = vals[better]
             trials[won] = 0
+        start += end
 
 
 def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
@@ -93,20 +108,23 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     limit = n_sources * n
 
     x = rng.random((n_sources, n))
-    values = objective.value_positions(x)
+    rows = decode_rows(x, k)
+    values = objective.value_rows(rows)
     trials = np.zeros(n_sources, dtype=int)
     employed = np.arange(n_sources)
 
     for _ in range(iterations):
-        _visit(objective, x, values, trials, employed, rng)
+        _visit(objective, x, rows, values, trials, employed, rng)
 
         weights = np.maximum(values - values.min(), floor)
         picks = rng.random(n_onlookers)
-        _visit(objective, x, values, trials, roulette(np.cumsum(weights), picks), rng)
+        onlookers = roulette(np.cumsum(weights), picks)
+        _visit(objective, x, rows, values, trials, onlookers, rng)
 
         stale = int(np.argmax(trials))
         if trials[stale] > limit:
             x[stale] = rng.random(n)
-            values[stale] = objective.value_positions(x[stale][None, :])[0]
+            rows[stale] = decode_rows(x[stale], k)
+            values[stale] = objective.value_rows(rows[stale][None, :])[0]
             trials[stale] = 0
         objective.close_iteration()

@@ -23,6 +23,7 @@ from swarmfl.swarm import (
     gwo,
     iwd,
     optimize,
+    support,
 )
 from swarmfl.swarm.support import (
     BatchObjective,
@@ -180,6 +181,27 @@ def test_params_validation():
         OptimizerParams("gwo", seed=-1)
     with pytest.raises(ConfigError):
         OptimizerParams("pso", algo_constants={"not_a_knob": 1.0})
+
+
+@pytest.mark.parametrize(
+    "name, constants",
+    [
+        ("pso", {"inertia": float("nan")}),
+        ("fish", {"visual": True}),
+        ("bee", {"selection_floor": "x"}),
+    ],
+)
+def test_params_reject_constants_that_are_not_finite_numbers(name, constants):
+    with pytest.raises(ConfigError, match="finite number"):
+        OptimizerParams(name, algo_constants=constants)
+
+
+@pytest.mark.parametrize("name, knob", [("bat", "loudness"), ("aco", "tau_init")])
+def test_an_int_for_a_float_constant_acts_as_that_float(name, knob):
+    problem = sampled_problem(10, 3, seed=47)
+    as_int = OptimizerParams(name, population=6, iterations=5, algo_constants={knob: 1})
+    as_float = OptimizerParams(name, population=6, iterations=5, algo_constants={knob: 1.0})
+    assert optimize(problem, as_int) == optimize(problem, as_float)
 
 
 def test_constant_override_changes_behavior_and_stays_deterministic():
@@ -475,26 +497,38 @@ def run_recording(problem, params, monkeypatch, reference=None):
     """optimize, plus the positions scored in each iteration, in order.
 
     Positions, not decoded rows, so that a move computed from stale state
-    shows even when it decodes to the same subset.  With ``reference`` given,
-    it replaces the algorithm module's ``run``.
+    shows even when it decodes to the same subset.  Every scoring call is
+    traced back to the positions decoded last: a call that scores m rows
+    scores the first m of them, which is checked row by row.  With
+    ``reference`` given, it replaces the algorithm module's ``run``.
     """
     scored = [[]]
-    value_positions = BatchObjective.value_positions
+    decoded = []
+    module = importlib.import_module(f"swarmfl.swarm.{params.algorithm}")
+    value_rows = BatchObjective.value_rows
     close_iteration = BatchObjective.close_iteration
 
-    def recording(self, coords):
+    def decoding(coords, k):
+        decoded[:] = [np.array(coords, ndmin=2)]
+        return decode_rows(coords, k)
+
+    def recording(self, rows):
+        coords = decoded.pop()[: len(rows)]
+        assert np.array_equal(decode_rows(coords, self.k), rows)
         scored[-1].extend(map(tuple, coords.tolist()))
-        return value_positions(self, coords)
+        return value_rows(self, rows)
 
     def closing(self):
         scored.append([])
         close_iteration(self)
 
     with monkeypatch.context() as patch:
-        patch.setattr(BatchObjective, "value_positions", recording)
+        patch.setattr(support, "decode_rows", decoding)
+        if hasattr(module, "decode_rows"):
+            patch.setattr(module, "decode_rows", decoding)
+        patch.setattr(BatchObjective, "value_rows", recording)
         patch.setattr(BatchObjective, "close_iteration", closing)
         if reference is not None:
-            module = importlib.import_module(f"swarmfl.swarm.{params.algorithm}")
             patch.setattr(module, "run", reference)
         result = optimize(problem, params)
     return result, scored
@@ -550,6 +584,8 @@ def test_bee_runs_match_per_bee_loop(population, monkeypatch):
         coverage_problem(12, 4, seed=62, bonus=0.3),
         sampled_problem(25, 10, seed=63),
         sampled_problem(3, 2, seed=64),
+        sampled_problem(50, 20, seed=65),
+        sampled_problem(2, 1, seed=66),
     ]
     for seed, problem in enumerate(problems):
         params = OptimizerParams("bee", population=population, iterations=60, seed=seed)
@@ -702,7 +738,7 @@ def test_bat_matches_two_call_loop(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "name, calls_per_iteration", [("bat", 1), ("fish", 4), ("bee", 8)]
+    "name, calls_per_iteration", [("bat", 1), ("fish", 4), ("bee", 3)]
 )
 def test_batched_selectors_make_few_calls(name, calls_per_iteration, monkeypatch):
     calls = []

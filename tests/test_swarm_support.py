@@ -273,6 +273,24 @@ def test_batch_of_no_rows_changes_nothing():
     assert list(batch.best_row) == list(best_row) and batch.best_value == best_value
 
 
+@pytest.mark.parametrize("coverage", [0.0, 0.6])
+@pytest.mark.parametrize("n, k", [(9, 4), (12, 1), (50, 20)])
+def test_batch_value_of_a_row_ignores_its_batch(n, k, coverage):
+    # bee treats a move whose candidate decodes to its source's row as unable
+    # to win, which holds only if a row scores the same bits in any batch.
+    obj = make_objective(n, seed=17, coverage=coverage)
+    rng = np.random.default_rng(18)
+    pool = np.sort(rng.permuted(np.tile(np.arange(n), (40, 1)), axis=1)[:, :k], axis=1)
+    batch = BatchObjective(obj, k=k, budget=10**6)
+    alone = np.array([batch.value_rows(row[None, :])[0] for row in pool])
+    for size in (2, 3, 7, 8, 9, 16, 17, 33, 1000):
+        picks = rng.integers(len(pool), size=size)
+        for shift in range(min(size, 33)):
+            order = np.roll(picks, shift)
+            values = batch.value_rows(pool[order])
+            assert values.view(np.uint64).tolist() == alone[order].view(np.uint64).tolist()
+
+
 def test_tracker_keeps_strictly_better_only():
     batch = BatchObjective(scored_objective([0.5, 0.9, 0.9, 0.91]), k=1, budget=10)
     batch.value_rows(np.array([[0], [1]]))
