@@ -37,7 +37,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of algorithms to run",
     )
     run.add_argument(
-        "--parallel", type=int, default=1, help="worker threads (default 1)"
+        "--parallel",
+        type=int,
+        default=1,
+        help="worker threads (default 1); they share the GIL, so more than 1"
+        " is usually slower",
     )
 
     sub.add_parser("list-algorithms", help="print the available algorithms")

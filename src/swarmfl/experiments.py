@@ -150,10 +150,16 @@ class ExperimentConfig:
         # Every other range is checked by the specs a session is built from;
         # none depends on the algorithm, so one algorithm checks them all.
         try:
-            for cell in enumerate_configurations(self):
+            cells = enumerate_configurations(self)
+            for cell in cells:
                 session_config(self, cell, self.algorithms[0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # A label names a cell's summary rows and trace files.
+        labels = [cell.label for cell in cells]
+        repeated = sorted({label for label in labels if labels.count(label) > 1})
+        if repeated:
+            raise ConfigError(f"grid cells share a label: {', '.join(repeated)}")
 
 
 def enumerate_configurations(config: ExperimentConfig) -> list:

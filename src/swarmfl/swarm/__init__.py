@@ -8,8 +8,7 @@ subsets directly.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -72,7 +71,6 @@ class OptimizerParams:
     population: int = 20
     iterations: int = 100
     seed: int = 0
-    algo_constants: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.algorithm not in _MODULES:
@@ -86,22 +84,6 @@ class OptimizerParams:
             raise ValueError("iterations must be >= 1")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be an unsigned 64-bit integer")
-        module = _MODULES[self.algorithm]
-        unknown = set(self.algo_constants) - set(module.DEFAULTS)
-        if unknown:
-            raise ConfigError(
-                f"unknown {self.algorithm} constants: {sorted(unknown)}"
-            )
-        for name, value in self.algo_constants.items():
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, float))
-                or not math.isfinite(value)
-            ):
-                raise ConfigError(
-                    f"{self.algorithm} constant {name!r} must be a finite number,"
-                    f" got {value!r}"
-                )
 
 
 @dataclass(frozen=True)
@@ -120,10 +102,6 @@ def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionRes
     that would go past it raises ``RuntimeError``.
     """
     module = _MODULES[params.algorithm]
-    constants = dict(module.DEFAULTS)
-    for name, value in params.algo_constants.items():
-        # numpy would build integer state arrays from an int given for a float knob.
-        constants[name] = float(value) if isinstance(constants[name], float) else value
     rng = np.random.default_rng(params.seed)
     budget = params.population * (params.iterations + 1) * module.EVAL_FACTOR
     objective = BatchObjective(problem.objective, problem.k, budget)
@@ -133,7 +111,6 @@ def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionRes
         params.population,
         params.iterations,
         objective,
-        constants,
         rng,
     )
     return SelectionResult(

@@ -20,36 +20,27 @@ from .support import BatchObjective, keyed_sample
 
 EVAL_FACTOR = 1
 
-DEFAULTS = {
-    "alpha": 1.0,
-    "beta": 2.0,
-    "evaporation": 0.1,
-    "deposit": 1.0,
-    "tau_init": 1.0,
-    "tau_min": 0.01,
-    "tau_max": 10.0,
-    "eta_floor": 0.01,
-}
+ALPHA = 1.0
+BETA = 2.0
+EVAPORATION = 0.1
+DEPOSIT = 1.0
+TAU_INIT = 1.0
+TAU_MIN = 0.01
+TAU_MAX = 10.0
+ETA_FLOOR = 0.01
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    alpha = constants["alpha"]
-    beta = constants["beta"]
-    rho = constants["evaporation"]
-    deposit = constants["deposit"]
-    tau_min = constants["tau_min"]
-    tau_max = constants["tau_max"]
-
-    tau = np.full(n, constants["tau_init"])
-    eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
+    tau = np.full(n, TAU_INIT)
+    eta = objective.fitness - objective.fitness.min() + ETA_FLOOR
 
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
-        rows = np.sort(keyed_sample(tau**alpha * eta**beta, races, k), axis=1)
+        rows = np.sort(keyed_sample(tau**ALPHA * eta**BETA, races, k), axis=1)
         values = objective.value_rows(rows)
 
         best = int(np.argmax(values))
-        tau *= 1.0 - rho
-        tau[rows[best]] += deposit
-        np.clip(tau, tau_min, tau_max, out=tau)
+        tau *= 1.0 - EVAPORATION
+        tau[rows[best]] += DEPOSIT
+        np.clip(tau, TAU_MIN, TAU_MAX, out=tau)
         objective.close_iteration()

@@ -9,7 +9,7 @@ the two a bat considers adopting; a candidate replaces its bat only when it
 improves and a loudness coin-flip accepts it, after which that bat's loudness
 decays.
 
-Velocities start random and are clamped to +/-``velocity_clamp``; a flight
+Velocities start random and are clamped to +/-``VELOCITY_CLAMP``; a flight
 that would leave the unit box bounces, flipping the offending velocity
 component, so velocities cannot pin at the clamp and freeze the flight.
 """
@@ -22,28 +22,21 @@ from .support import BatchObjective, bounce, fold_into_box
 
 EVAL_FACTOR = 2
 
-DEFAULTS = {
-    "freq_max": 2.0,
-    "loudness": 1.0,
-    "loudness_decay": 0.95,
-    "pulse_rate": 0.5,
-    "pulse_growth": 0.9,
-    "walk_scale": 0.3,
-    "velocity_clamp": 0.5,
-}
+FREQ_MAX = 2.0
+LOUDNESS = 1.0
+LOUDNESS_DECAY = 0.95
+PULSE_RATE = 0.5
+PULSE_GROWTH = 0.9
+WALK_SCALE = 0.3
+VELOCITY_CLAMP = 0.5
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    fmax = constants["freq_max"]
-    alpha = constants["loudness_decay"]
-    r0 = constants["pulse_rate"]
-    gamma = constants["pulse_growth"]
-    walk = constants["walk_scale"]
-    vmax = constants["velocity_clamp"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
+    vmax = VELOCITY_CLAMP
 
     x = rng.random((population, n))
     v = rng.uniform(-vmax, vmax, (population, n))
-    loud = np.full(population, constants["loudness"])
+    loud = np.full(population, LOUDNESS)
     values = objective.value_positions(x)
 
     b = int(np.argmax(values))
@@ -51,13 +44,13 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     best_val = float(values[b])
 
     for t in range(iterations):
-        pulse = r0 * (1.0 - np.exp(-gamma * t))
-        freq = rng.uniform(0.0, fmax, population)
+        pulse = PULSE_RATE * (1.0 - np.exp(-PULSE_GROWTH * t))
+        freq = rng.uniform(0.0, FREQ_MAX, population)
         flight, v = bounce(x, np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax))
 
         walk_gate = rng.random(population) > pulse
         eps = rng.normal(0.0, 1.0, (population, n))
-        local = fold_into_box(best_x + walk * eps * loud.mean())
+        local = fold_into_box(best_x + WALK_SCALE * eps * loud.mean())
 
         scored = objective.value_positions(np.concatenate([flight, local]))
         flight_values, local_values = scored[:population], scored[population:]
@@ -67,7 +60,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         accept = (rng.random(population) < loud) & (cand_values > values)
         x[accept] = cand[accept]
         values[accept] = cand_values[accept]
-        loud[accept] *= alpha
+        loud[accept] *= LOUDNESS_DECAY
 
         b = int(np.argmax(values))
         if values[b] > best_val:

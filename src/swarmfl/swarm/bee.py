@@ -29,9 +29,7 @@ from .support import BatchObjective, decode_rows, fold_into_box, roulette
 
 EVAL_FACTOR = 2
 
-DEFAULTS = {
-    "selection_floor": 1e-9,
-}
+SELECTION_FLOOR = 1e-9
 
 
 def propose(x, sources, dims, partners, phis):
@@ -101,8 +99,7 @@ def _visit(objective, x, rows, values, trials, sources, rng):
         start += end
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    floor = constants["selection_floor"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
     n_sources = max(2, population // 2)
     n_onlookers = population - n_sources
     limit = n_sources * n
@@ -116,7 +113,7 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     for _ in range(iterations):
         _visit(objective, x, rows, values, trials, employed, rng)
 
-        weights = np.maximum(values - values.min(), floor)
+        weights = np.maximum(values - values.min(), SELECTION_FLOOR)
         picks = rng.random(n_onlookers)
         onlookers = roulette(np.cumsum(weights), picks)
         _visit(objective, x, rows, values, trials, onlookers, rng)

@@ -13,17 +13,14 @@ from .support import BatchObjective, fold_into_box, levy_sample
 
 EVAL_FACTOR = 2
 
-DEFAULTS = {
-    "step_scale": 0.01,
-    "levy_beta": 1.5,
-    "abandon_fraction": 0.25,
-}
+STEP_SCALE = 0.01
+LEVY_BETA = 1.5
+ABANDON_FRACTION = 0.25
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    scale = constants["step_scale"]
-    beta = constants["levy_beta"]
-    n_abandon = int(np.floor(constants["abandon_fraction"] * population + 0.5))
+def run(n, k, population, iterations, objective: BatchObjective, rng):
+    # At least one nest for any population >= 2.
+    n_abandon = int(np.floor(ABANDON_FRACTION * population + 0.5))
 
     x = rng.random((population, n))
     values = objective.value_positions(x)
@@ -33,17 +30,16 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     best_val = float(values[b])
 
     for _ in range(iterations):
-        steps = levy_sample(beta, rng, (population, n))
-        cand = fold_into_box(x + scale * steps * (x - best_x))
+        steps = levy_sample(LEVY_BETA, rng, (population, n))
+        cand = fold_into_box(x + STEP_SCALE * steps * (x - best_x))
         cand_values = objective.value_positions(cand)
         improved = cand_values > values
         x[improved] = cand[improved]
         values[improved] = cand_values[improved]
 
-        if n_abandon > 0:
-            worst = np.argsort(values, kind="stable")[:n_abandon]
-            x[worst] = rng.random((n_abandon, n))
-            values[worst] = objective.value_positions(x[worst])
+        worst = np.argsort(values, kind="stable")[:n_abandon]
+        x[worst] = rng.random((n_abandon, n))
+        values[worst] = objective.value_positions(x[worst])
 
         b = int(np.argmax(values))
         if values[b] > best_val:

@@ -2,10 +2,9 @@
 
 Fish inside each other's visual range follow the best visible neighbor, or
 swarm toward the local center, unless the neighborhood is too crowded; lone
-or crowded fish prey by probing random points in their visual box.  Probes
-are capped at three objective calls per fish per iteration, which keeps the
-whole algorithm within the documented budget factor of 3 even though the
-nominal try_number is 5.
+or crowded fish prey by probing random points in their visual box.  A fish
+makes at most three objective calls per iteration, which keeps the whole
+algorithm within its budget factor of 3.
 
 Fish take their turns one after another, each seeing the moves before it.
 Each iteration draws every fish's probe offsets and drift pull up front, and
@@ -28,12 +27,9 @@ from .support import BatchObjective, fold_into_box
 
 EVAL_FACTOR = 3
 
-DEFAULTS = {
-    "visual": 0.3,
-    "step": 0.1,
-    "crowding": 0.618,
-    "try_number": 5,
-}
+VISUAL = 0.3
+STEP = 0.1
+CROWDING = 0.618
 
 _FISH_EVAL_CAP = 3
 
@@ -69,12 +65,7 @@ def _prey(objective, x, values, probes, fish):
         fish = fish[~better]
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    visual = constants["visual"]
-    step = constants["step"]
-    delta = constants["crowding"]
-    tries = min(int(constants["try_number"]), _FISH_EVAL_CAP)
-
+def run(n, k, population, iterations, objective: BatchObjective, rng):
     x = rng.random((population, n))
     values = objective.value_positions(x)
     everyone = np.arange(population)
@@ -86,9 +77,9 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
         """Fish i's sequential turn; returns True when it drifted."""
         dist = np.linalg.norm(x - x[i], axis=1)
         dist[i] = np.inf
-        neighbors = np.flatnonzero(dist < visual)
+        neighbors = np.flatnonzero(dist < VISUAL)
         used = 0
-        if len(neighbors) > 0 and len(neighbors) / population < delta:
+        if len(neighbors) > 0 and len(neighbors) / population < CROWDING:
             j = neighbors[int(np.argmax(values[neighbors]))]
             target = x[j]  # follow the best visible fish
             if values[j] <= values[i]:
@@ -100,20 +91,20 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
                 d = target - x[i]
                 norm = np.linalg.norm(d)
                 if norm > 0.0:
-                    x[i] = fold_into_box(x[i] + step * pull * d / norm)
+                    x[i] = fold_into_box(x[i] + STEP * pull * d / norm)
                 values[i] = evaluate(x[i])
                 return True
         _prey(objective, x, values, probes[:, : _FISH_EVAL_CAP - used], everyone[i : i + 1])
         return False
 
     for _ in range(iterations):
-        offsets = rng.uniform(-1.0, 1.0, (population, tries, n))
+        offsets = rng.uniform(-1.0, 1.0, (population, _FISH_EVAL_CAP, n))
         pulls = rng.random(population)
         start = x.copy()
-        probes = fold_into_box(start[:, None] + visual * offsets)
+        probes = fold_into_box(start[:, None] + VISUAL * offsets)
 
         spots = np.concatenate([start[:, None], probes], axis=1)
-        far = _farther(start, spots.reshape(-1, n), visual).reshape(population, population, -1)
+        far = _farther(start, spots.reshape(-1, n), VISUAL).reshape(population, population, -1)
         far[everyone, everyone] = True  # a fish's own spots
         clear = far.all(axis=(1, 2))
 
@@ -127,6 +118,6 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
                 i = end
                 continue
             if turn(i, pulls[i], probes):
-                clear[i + 1 :] &= _farther(x[i : i + 1], start[i + 1 :], visual)[0]
+                clear[i + 1 :] &= _farther(x[i : i + 1], start[i + 1 :], VISUAL)[0]
             i += 1
         objective.close_iteration()

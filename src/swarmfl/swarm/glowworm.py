@@ -5,7 +5,7 @@ objective value and moves a small fixed step toward a roulette-chosen
 brighter neighbor inside its adaptive decision radius.  A glowworm with no
 brighter neighbor is a local champion; instead of standing still (which
 would stop producing new candidate subsets entirely) it probes a uniform
-random offset of scale ``idle_probe`` around itself.  Movement decisions use
+random offset of scale ``IDLE_PROBE`` around itself.  Movement decisions use
 a synchronous snapshot of the swarm, so a whole iteration is one step: one
 pairwise-distance matrix, one roulette per row over the brighter neighbors,
 and one block of probes.  One evaluation per glowworm per iteration.
@@ -21,18 +21,16 @@ from .support import BatchObjective, fold_into_box, roulette
 
 EVAL_FACTOR = 1
 
-DEFAULTS = {
-    "luciferin_decay": 0.4,
-    "luciferin_gain": 0.6,
-    "luciferin_init": 5.0,
-    "step": 0.03,
-    "radius_gain": 0.08,
-    "target_neighbors": 5,
-    "idle_probe": 0.25,
-}
+LUCIFERIN_DECAY = 0.4
+LUCIFERIN_GAIN = 0.6
+LUCIFERIN_INIT = 5.0
+STEP = 0.03
+RADIUS_GAIN = 0.08
+TARGET_NEIGHBORS = 5
+IDLE_PROBE = 0.25
 
 
-def step_swarm(snapshot, lucif, radius, constants, r_sense, picks, probes):
+def step_swarm(snapshot, lucif, radius, r_sense, picks, probes):
     """Move every glowworm once from a synchronous snapshot.
 
     ``picks`` holds one U[0,1) draw per glowworm for its neighbor roulette and
@@ -40,9 +38,6 @@ def step_swarm(snapshot, lucif, radius, constants, r_sense, picks, probes):
     is used only by the glowworms that need it.  Returns the moved positions
     and the updated decision radii.
     """
-    step = constants["step"]
-    probe_scale = constants["idle_probe"]
-
     dist = np.linalg.norm(snapshot[:, None, :] - snapshot[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     brighter = (dist < radius[:, None]) & (lucif[None, :] > lucif[:, None])
@@ -61,30 +56,26 @@ def step_swarm(snapshot, lucif, radius, constants, r_sense, picks, probes):
     norm = np.linalg.norm(d, axis=1)
     moves = (counts > 0) & (norm > 0.0)  # coincident positions can differ in luciferin
     moved = snapshot.copy()
-    moved[moves] = fold_into_box(snapshot[moves] + step * d[moves] / norm[moves, None])
-    if probe_scale > 0.0:
-        idle = ~moves
-        moved[idle] = fold_into_box(snapshot[idle] + probes[idle])
-    gain = constants["radius_gain"] * (constants["target_neighbors"] - counts)
+    moved[moves] = fold_into_box(snapshot[moves] + STEP * d[moves] / norm[moves, None])
+    idle = ~moves
+    moved[idle] = fold_into_box(snapshot[idle] + probes[idle])
+    gain = RADIUS_GAIN * (TARGET_NEIGHBORS - counts)
     return moved, np.minimum(r_sense, np.maximum(0.0, radius + gain))
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    rho = constants["luciferin_decay"]
-    gamma = constants["luciferin_gain"]
-    probe_scale = constants["idle_probe"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
     r_sense = 0.5 * math.sqrt(n)
 
     x = rng.random((population, n))
     values = objective.value_positions(x)
 
-    luciferin = np.full(population, constants["luciferin_init"])
+    luciferin = np.full(population, LUCIFERIN_INIT)
     radius = np.full(population, r_sense)
 
     for _ in range(iterations):
-        luciferin = (1.0 - rho) * luciferin + gamma * values
+        luciferin = (1.0 - LUCIFERIN_DECAY) * luciferin + LUCIFERIN_GAIN * values
         picks = rng.random(population)
-        probes = rng.uniform(-probe_scale, probe_scale, (population, n))
-        x, radius = step_swarm(x, luciferin, radius, constants, r_sense, picks, probes)
+        probes = rng.uniform(-IDLE_PROBE, IDLE_PROBE, (population, n))
+        x, radius = step_swarm(x, luciferin, radius, r_sense, picks, probes)
         values = objective.value_positions(x)
         objective.close_iteration()

@@ -20,8 +20,6 @@ from .support import BatchObjective, decode_rows, fold_into_box
 
 EVAL_FACTOR = 1
 
-DEFAULTS: dict = {}
-
 
 def _leaders(values: np.ndarray, rows: np.ndarray) -> list:
     """Indices of the three best wolves with distinct decoded subsets.
@@ -42,7 +40,7 @@ def _leaders(values: np.ndarray, rows: np.ndarray) -> list:
     return picked + [picked[-1]] * (3 - len(picked))
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
+def run(n, k, population, iterations, objective: BatchObjective, rng):
     x = rng.random((population, n))
     rows = decode_rows(x, k)
     values = objective.value_rows(rows)

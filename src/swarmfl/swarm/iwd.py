@@ -18,7 +18,7 @@ Erosion and reinforcement rates here are deliberately gentle: literal
 textbook magnitudes collapse the field after a handful of visits at this
 problem scale, which freezes the search on whatever was sampled first.  The
 chosen constants keep per-visit erosion at most ~1% of the initial soil and
-bound the field to [soil_min, soil_max] so selection probabilities stay
+bound the field to [SOIL_MIN, SOIL_MAX] so selection probabilities stay
 finite and exploration never fully dies.
 """
 
@@ -30,22 +30,20 @@ from .support import BatchObjective, keyed_sample
 
 EVAL_FACTOR = 1
 
-DEFAULTS = {
-    "soil_init": 1000.0,
-    "velocity_init": 100.0,
-    "prob_eps": 0.01,
-    "velocity_gain": 100.0,
-    "time_eps": 0.01,
-    "erosion_scale": 100.0,
-    "erosion_rate": 0.001,
-    "reinforce": 0.9,
-    "eta_floor": 0.01,
-    "soil_min": 0.01,
-    "soil_max": 1e6,
-}
+SOIL_INIT = 1000.0
+VELOCITY_INIT = 100.0
+PROB_EPS = 0.01
+VELOCITY_GAIN = 100.0
+TIME_EPS = 0.01
+EROSION_SCALE = 100.0
+EROSION_RATE = 0.001
+REINFORCE = 0.9
+ETA_FLOOR = 0.01
+SOIL_MIN = 0.01
+SOIL_MAX = 1e6
 
 
-def erode(soil, path, eta_inv, constants):
+def erode(soil, path, eta_inv):
     """Apply one drop's velocity gain and erosion along its ordered path.
 
     ``soil`` and ``eta_inv`` are lists of floats and ``path`` a list of
@@ -53,14 +51,15 @@ def erode(soil, path, eta_inv, constants):
     client's soil before eroding it, and the velocity gains add in visit
     order.
     """
-    eps = constants["prob_eps"]
-    gain = constants["velocity_gain"]
-    time_eps = constants["time_eps"]
-    scale = constants["erosion_scale"]
-    rate = constants["erosion_rate"]
-    soil_min = constants["soil_min"]
-    soil_max = constants["soil_max"]
-    velocity = constants["velocity_init"]
+    # Local names: the loop runs once per visit of every drop.
+    eps = PROB_EPS
+    gain = VELOCITY_GAIN
+    time_eps = TIME_EPS
+    scale = EROSION_SCALE
+    rate = EROSION_RATE
+    soil_min = SOIL_MIN
+    soil_max = SOIL_MAX
+    velocity = VELOCITY_INIT
     for i in path:
         s = soil[i]
         velocity += gain / (eps + s)
@@ -74,15 +73,10 @@ def erode(soil, path, eta_inv, constants):
         soil[i] = s
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    eps = constants["prob_eps"]
-    soil_min = constants["soil_min"]
-    soil_max = constants["soil_max"]
-    reinforce = constants["reinforce"]
-
-    soil = [constants["soil_init"]] * n
-    weights = np.full(n, 1.0 / (eps + constants["soil_init"]))
-    eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
+    soil = [SOIL_INIT] * n
+    weights = np.full(n, 1.0 / (PROB_EPS + SOIL_INIT))
+    eta = objective.fitness - objective.fitness.min() + ETA_FLOOR
     eta_inv = (1.0 / eta).tolist()
 
     for _ in range(iterations):
@@ -92,14 +86,14 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
             path = keyed_sample(weights, races[d], k)
             paths[d] = path
             visits = path.tolist()
-            erode(soil, visits, eta_inv, constants)
-            weights[path] = [1.0 / (eps + soil[i]) for i in visits]
+            erode(soil, visits, eta_inv)
+            weights[path] = [1.0 / (PROB_EPS + soil[i]) for i in visits]
         rows = np.sort(paths, axis=1)
         values = objective.value_rows(rows)
 
         best = rows[int(np.argmax(values))]
         picked = best.tolist()
         for i in picked:
-            soil[i] = min(max(soil[i] * reinforce, soil_min), soil_max)
-        weights[best] = [1.0 / (eps + soil[i]) for i in picked]
+            soil[i] = min(max(soil[i] * REINFORCE, SOIL_MIN), SOIL_MAX)
+        weights[best] = [1.0 / (PROB_EPS + soil[i]) for i in picked]
         objective.close_iteration()

@@ -3,7 +3,7 @@
 Velocities blend inertia with pulls toward each particle's personal best and
 the global best; speeds are clamped so particles cannot overshoot the unit
 box in one step.  Because the rank decoding makes the objective piecewise
-constant, two stall-prevention measures stay on by default: velocities start
+constant, two stall-prevention measures are always on: velocities start
 random instead of zero, and each iteration a small random fraction of the
 swarm gets its velocity re-randomized (the classic "craziness" kick).
 Particles bounce off the box walls — the offending velocity component flips
@@ -19,21 +19,15 @@ from .support import BatchObjective, bounce
 
 EVAL_FACTOR = 1
 
-DEFAULTS = {
-    "inertia": 0.729,
-    "cognitive": 1.49445,
-    "social": 1.49445,
-    "velocity_clamp": 0.5,
-    "craziness": 0.02,
-}
+INERTIA = 0.729
+COGNITIVE = 1.49445
+SOCIAL = 1.49445
+VELOCITY_CLAMP = 0.5
+CRAZINESS = 0.02
 
 
-def run(n, k, population, iterations, objective: BatchObjective, constants, rng):
-    omega = constants["inertia"]
-    c1 = constants["cognitive"]
-    c2 = constants["social"]
-    vmax = constants["velocity_clamp"]
-    crazy = constants["craziness"]
+def run(n, k, population, iterations, objective: BatchObjective, rng):
+    vmax = VELOCITY_CLAMP
 
     x = rng.random((population, n))
     v = rng.uniform(-vmax, vmax, (population, n))
@@ -48,11 +42,10 @@ def run(n, k, population, iterations, objective: BatchObjective, constants, rng)
     for _ in range(iterations):
         r1 = rng.random((population, n))
         r2 = rng.random((population, n))
-        v = omega * v + c1 * r1 * (pbest - x) + c2 * r2 * (gbest - x)
-        if crazy > 0.0:
-            mask = rng.random(population) < crazy
-            fresh = rng.uniform(-vmax, vmax, (population, n))
-            v = np.where(mask[:, None], fresh, v)
+        v = INERTIA * v + COGNITIVE * r1 * (pbest - x) + SOCIAL * r2 * (gbest - x)
+        mask = rng.random(population) < CRAZINESS
+        fresh = rng.uniform(-vmax, vmax, (population, n))
+        v = np.where(mask[:, None], fresh, v)
         x, v = bounce(x, np.clip(v, -vmax, vmax))
         values = objective.value_positions(x)
 

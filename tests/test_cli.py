@@ -78,6 +78,25 @@ def test_validate_out_of_range_value_is_exit_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "entry, repeated",
+    [
+        ({"experiment": "noise", "noise_levels": [0.251, 0.254]}, "noise=0.25"),
+        ({"experiment": "fixed", "client_counts": [5, 5]}, "clients=5,epochs=10"),
+    ],
+    ids=["noise-levels-round-alike", "client-counts-repeated"],
+)
+def test_validate_repeated_cell_label_is_exit_one(entry, repeated, tmp_path, capsys):
+    # Cells that share a label would share summary rows and trace files.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(entry), encoding="utf-8")
+    assert main(["validate", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: grid cells share a label: ")
+    assert repeated in captured.err
+    assert captured.out == ""
+
+
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0

@@ -179,42 +179,6 @@ def test_params_validation():
         OptimizerParams("gwo", iterations=0)
     with pytest.raises(ValueError):
         OptimizerParams("gwo", seed=-1)
-    with pytest.raises(ConfigError):
-        OptimizerParams("pso", algo_constants={"not_a_knob": 1.0})
-
-
-@pytest.mark.parametrize(
-    "name, constants",
-    [
-        ("pso", {"inertia": float("nan")}),
-        ("fish", {"visual": True}),
-        ("bee", {"selection_floor": "x"}),
-    ],
-)
-def test_params_reject_constants_that_are_not_finite_numbers(name, constants):
-    with pytest.raises(ConfigError, match="finite number"):
-        OptimizerParams(name, algo_constants=constants)
-
-
-@pytest.mark.parametrize("name, knob", [("bat", "loudness"), ("aco", "tau_init")])
-def test_an_int_for_a_float_constant_acts_as_that_float(name, knob):
-    problem = sampled_problem(10, 3, seed=47)
-    as_int = OptimizerParams(name, population=6, iterations=5, algo_constants={knob: 1})
-    as_float = OptimizerParams(name, population=6, iterations=5, algo_constants={knob: 1.0})
-    assert optimize(problem, as_int) == optimize(problem, as_float)
-
-
-def test_constant_override_changes_behavior_and_stays_deterministic():
-    problem = sampled_problem(16, 5, seed=46)
-    base = OptimizerParams("pso", population=8, iterations=20, seed=3)
-    slow = OptimizerParams(
-        "pso", population=8, iterations=20, seed=3, algo_constants={"inertia": 0.2}
-    )
-    assert optimize(problem, slow) == optimize(problem, slow)
-    # same draws, different dynamics: traces may differ even if the answer agrees
-    assert optimize(problem, base).trace != optimize(problem, slow).trace or (
-        optimize(problem, base) == optimize(problem, slow)
-    )
 
 
 def test_problem_validation():
@@ -247,15 +211,14 @@ def test_bee_neighbor_reflects_off_the_walls():
 # --- vector update rules against per-step reference loops -------------------------
 
 
-def reference_iwd_erosion(soil, path, eta_inv, c):
+def reference_iwd_erosion(soil, path, eta_inv):
     """One drop's velocity and erosion, one visit at a time."""
-    eps = c["prob_eps"]
-    velocity = c["velocity_init"]
+    velocity = iwd.VELOCITY_INIT
     for i in path:
-        velocity += c["velocity_gain"] / (eps + soil[i])
+        velocity += iwd.VELOCITY_GAIN / (iwd.PROB_EPS + soil[i])
         travel_time = eta_inv[i] / velocity
-        delta = c["erosion_scale"] / (c["time_eps"] + travel_time**2)
-        soil[i] = min(max(soil[i] - c["erosion_rate"] * delta, c["soil_min"]), c["soil_max"])
+        delta = iwd.EROSION_SCALE / (iwd.TIME_EPS + travel_time**2)
+        soil[i] = min(max(soil[i] - iwd.EROSION_RATE * delta, iwd.SOIL_MIN), iwd.SOIL_MAX)
 
 
 def test_iwd_vector_erosion_matches_per_step_loop():
@@ -270,53 +233,49 @@ def test_iwd_vector_erosion_matches_per_step_loop():
         path = rng.permutation(n)[: 2 + trial]
         soil[path[-1]] = 2e6  # above soil_max: the clip pulls it back down
         expected = soil.copy()
-        reference_iwd_erosion(expected, path, eta_inv, iwd.DEFAULTS)
+        reference_iwd_erosion(expected, path, eta_inv)
         got = soil.tolist()
-        iwd.erode(got, path.tolist(), eta_inv.tolist(), iwd.DEFAULTS)
+        iwd.erode(got, path.tolist(), eta_inv.tolist())
         got = np.array(got)
         np.testing.assert_array_equal(got, expected)
-        assert got[path[-1]] == iwd.DEFAULTS["soil_max"]
+        assert got[path[-1]] == iwd.SOIL_MAX
         assert np.array_equal(np.flatnonzero(got != soil), np.sort(path))
-        floored += int(np.sum(got == iwd.DEFAULTS["soil_min"]))
+        floored += int(np.sum(got == iwd.SOIL_MIN))
     assert floored > 0
 
 
-def reference_iwd_vector_erosion(soil, path, eta_inv, constants):
+def reference_iwd_vector_erosion(soil, path, eta_inv):
     """iwd's erosion as one vector update of ``soil[path]`` per drop."""
-    eps = constants["prob_eps"]
     visited = soil[path]
-    velocity = constants["velocity_gain"] / (eps + visited)
-    velocity[0] += constants["velocity_init"]
+    velocity = iwd.VELOCITY_GAIN / (iwd.PROB_EPS + visited)
+    velocity[0] += iwd.VELOCITY_INIT
     np.add.accumulate(velocity, out=velocity)
     travel_time = eta_inv[path] / velocity
-    delta = constants["erosion_scale"] / (constants["time_eps"] + travel_time**2)
-    eroded = visited - constants["erosion_rate"] * delta
-    np.maximum(eroded, constants["soil_min"], out=eroded)
-    soil[path] = np.minimum(eroded, constants["soil_max"], out=eroded)
+    delta = iwd.EROSION_SCALE / (iwd.TIME_EPS + travel_time**2)
+    eroded = visited - iwd.EROSION_RATE * delta
+    np.maximum(eroded, iwd.SOIL_MIN, out=eroded)
+    soil[path] = np.minimum(eroded, iwd.SOIL_MAX, out=eroded)
 
 
-def reference_iwd_run(n, k, population, iterations, objective, constants, rng):
+def reference_iwd_run(n, k, population, iterations, objective, rng):
     """iwd's drop loop in vector form: every drop recomputes the whole weight vector."""
-    eps = constants["prob_eps"]
-    soil = np.full(n, constants["soil_init"])
-    eta = objective.fitness - objective.fitness.min() + constants["eta_floor"]
+    soil = np.full(n, iwd.SOIL_INIT)
+    eta = objective.fitness - objective.fitness.min() + iwd.ETA_FLOOR
     eta_inv = 1.0 / eta
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
         paths = np.empty((population, k), dtype=int)
         for d in range(population):
-            paths[d] = keyed_sample(1.0 / (eps + soil), races[d], k)
-            reference_iwd_vector_erosion(soil, paths[d], eta_inv, constants)
+            paths[d] = keyed_sample(1.0 / (iwd.PROB_EPS + soil), races[d], k)
+            reference_iwd_vector_erosion(soil, paths[d], eta_inv)
         rows = np.sort(paths, axis=1)
         values = objective.value_rows(rows)
         best = rows[int(np.argmax(values))]
-        soil[best] = np.clip(
-            soil[best] * constants["reinforce"], constants["soil_min"], constants["soil_max"]
-        )
+        soil[best] = np.clip(soil[best] * iwd.REINFORCE, iwd.SOIL_MIN, iwd.SOIL_MAX)
         objective.close_iteration()
 
 
-def reference_glowworm_step(snapshot, lucif, radius, c, r_sense, picks, probes):
+def reference_glowworm_step(snapshot, lucif, radius, r_sense, picks, probes):
     """Move each glowworm in turn from the snapshot, one at a time."""
     population = len(snapshot)
     moved = snapshot.copy()
@@ -333,20 +292,16 @@ def reference_glowworm_step(snapshot, lucif, radius, c, r_sense, picks, probes):
             d = snapshot[j] - snapshot[i]
             norm = np.linalg.norm(d)
             if norm > 0.0:
-                moved[i] = fold_into_box(snapshot[i] + c["step"] * d / norm)
+                moved[i] = fold_into_box(snapshot[i] + glowworm.STEP * d / norm)
                 idle = False
-        if idle and c["idle_probe"] > 0.0:
+        if idle:
             moved[i] = fold_into_box(snapshot[i] + probes[i])
-        radius[i] = min(
-            r_sense,
-            max(0.0, radius[i] + c["radius_gain"] * (c["target_neighbors"] - len(brighter))),
-        )
+        gain = glowworm.RADIUS_GAIN * (glowworm.TARGET_NEIGHBORS - len(brighter))
+        radius[i] = min(r_sense, max(0.0, radius[i] + gain))
     return moved, radius
 
 
-@pytest.mark.parametrize("idle_probe", [0.25, 0.0])
-def test_glowworm_vector_step_matches_per_worm_loop(idle_probe):
-    c = dict(glowworm.DEFAULTS, idle_probe=idle_probe)
+def test_glowworm_vector_step_matches_per_worm_loop():
     rng = np.random.default_rng(22)
     population, n = 16, 9
     r_sense = 0.5 * np.sqrt(n)
@@ -358,14 +313,12 @@ def test_glowworm_vector_step_matches_per_worm_loop(idle_probe):
         radius = rng.choice([0.0, 0.4, 0.9, r_sense], population)
         picks = rng.random(population)
         picks[2] = 1.0 - 2.0**-53  # the largest U[0,1) draw
-        probes = rng.uniform(-idle_probe, idle_probe, (population, n))
+        probes = rng.uniform(-glowworm.IDLE_PROBE, glowworm.IDLE_PROBE, (population, n))
 
         expected, expected_radius = reference_glowworm_step(
-            snapshot, lucif, radius, c, r_sense, picks, probes
+            snapshot, lucif, radius, r_sense, picks, probes
         )
-        got, got_radius = glowworm.step_swarm(
-            snapshot, lucif, radius, c, r_sense, picks, probes
-        )
+        got, got_radius = glowworm.step_swarm(snapshot, lucif, radius, r_sense, picks, probes)
         np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-14)
         np.testing.assert_array_equal(got_radius, expected_radius)
 
@@ -373,12 +326,10 @@ def test_glowworm_vector_step_matches_per_worm_loop(idle_probe):
 # --- batched asynchronous selectors against per-agent reference loops -------------
 
 
-def reference_fish_run(n, k, population, iterations, objective, constants, rng, fired):
+def reference_fish_run(n, k, population, iterations, objective, rng, fired):
     """Fish one at a time on fish's per-iteration draws, counting branches."""
-    visual = constants["visual"]
-    step = constants["step"]
-    delta = constants["crowding"]
-    tries = min(int(constants["try_number"]), 3)
+    visual = fish.VISUAL
+    tries = 3
 
     x = rng.random((population, n))
     values = objective.value_positions(x)
@@ -395,13 +346,13 @@ def reference_fish_run(n, k, population, iterations, objective, constants, rng, 
             norm = np.linalg.norm(d)
             if norm == 0.0:
                 return x[i].copy()
-            return fold_into_box(x[i] + step * pulls[i] * d / norm)
+            return fold_into_box(x[i] + fish.STEP * pulls[i] * d / norm)
 
         for i in range(population):
             dist = np.linalg.norm(x - x[i], axis=1)
             dist[i] = np.inf
             neighbors = np.flatnonzero(dist < visual)
-            crowded = len(neighbors) / population >= delta
+            crowded = len(neighbors) / population >= fish.CROWDING
             used = 0
             if len(neighbors) > 0 and not crowded:
                 j = neighbors[int(np.argmax(values[neighbors]))]
@@ -420,7 +371,7 @@ def reference_fish_run(n, k, population, iterations, objective, constants, rng, 
                     continue
             elif len(neighbors) > 0:
                 fired["crowded"] += 1
-            for p in range(min(tries, 3 - used)):
+            for p in range(tries - used):
                 trial = fold_into_box(x[i] + visual * offsets[i, p])
                 trial_val = evaluate(trial)
                 if trial_val > values[i]:
@@ -430,9 +381,8 @@ def reference_fish_run(n, k, population, iterations, objective, constants, rng, 
         objective.close_iteration()
 
 
-def reference_bee_run(n, k, population, iterations, objective, constants, rng):
+def reference_bee_run(n, k, population, iterations, objective, rng):
     """The per-bee loop on bee's per-phase draw blocks: one move and one call at a time."""
-    floor = constants["selection_floor"]
     n_sources = max(2, population // 2)
     n_onlookers = population - n_sources
     limit = n_sources * n
@@ -467,7 +417,7 @@ def reference_bee_run(n, k, population, iterations, objective, constants, rng):
     for _ in range(iterations):
         phase(range(n_sources))
 
-        weights = np.maximum(values - values.min(), floor)
+        weights = np.maximum(values - values.min(), bee.SELECTION_FLOOR)
         cum = np.cumsum(weights)
         picks = rng.random(n_onlookers)
         phase(
@@ -541,22 +491,22 @@ def assert_same_result(got, expected):
     assert got.evaluations == expected.evaluations
 
 
-# (problem, constants, optimizer seed)
+# (problem, visual range, optimizer seed)
 FISH_CASES = [
-    (sampled_problem(10, 3, seed=51), {}, 0),
-    (coverage_problem(12, 4, seed=52, bonus=0.3), {}, 1),
-    (sampled_problem(25, 10, seed=53), {}, 2),
-    (sampled_problem(50, 20, seed=54), {}, 3),
+    (sampled_problem(10, 3, seed=51), fish.VISUAL, 0),
+    (coverage_problem(12, 4, seed=52, bonus=0.3), fish.VISUAL, 1),
+    (sampled_problem(25, 10, seed=53), fish.VISUAL, 2),
+    (sampled_problem(50, 20, seed=54), fish.VISUAL, 3),
 ]
 # Fish see neighbours here.  The last case reaches the swarm-to-centre drift;
 # in the one before it a drift lands within sight of a fish that was clear.
 DENSE_FISH_CASES = [
-    (sampled_problem(2, 1, seed=55), {}, 4),
-    (sampled_problem(3, 2, seed=56), {}, 5),
-    (sampled_problem(5, 2, seed=57), {}, 6),
-    (sampled_problem(10, 3, seed=58), {"visual": 1.0}, 7),
-    (sampled_problem(10, 3, seed=82), {"visual": 0.7}, 2),
-    (coverage_problem(8, 4, seed=62, bonus=0.5), {"visual": 1.0}, 8),
+    (sampled_problem(2, 1, seed=55), fish.VISUAL, 4),
+    (sampled_problem(3, 2, seed=56), fish.VISUAL, 5),
+    (sampled_problem(5, 2, seed=57), fish.VISUAL, 6),
+    (sampled_problem(10, 3, seed=58), 1.0, 7),
+    (sampled_problem(10, 3, seed=82), 0.7, 2),
+    (coverage_problem(8, 4, seed=62, bonus=0.5), 1.0, 8),
 ]
 
 
@@ -565,10 +515,10 @@ def test_fish_lockstep_matches_per_fish_loop(monkeypatch):
     # iteration's scored positions are compared as a multiset.
     fired = {"follow": 0, "centre": 0, "crowded": 0}
     reference = functools.partial(reference_fish_run, fired=fired)
-    for problem, constants, seed in FISH_CASES + DENSE_FISH_CASES:
-        params = OptimizerParams(
-            "fish", population=20, iterations=60, seed=seed, algo_constants=constants
-        )
+    for problem, visual, seed in FISH_CASES + DENSE_FISH_CASES:
+        params = OptimizerParams("fish", population=20, iterations=60, seed=seed)
+        # fish.run and reference_fish_run both read fish.VISUAL when called.
+        monkeypatch.setattr(fish, "VISUAL", visual)
         got, got_scored = run_recording(problem, params, monkeypatch)
         expected, expected_scored = run_recording(problem, params, monkeypatch, reference)
         assert_same_result(got, expected)
@@ -616,7 +566,7 @@ def test_iwd_matches_vector_drop_loop(monkeypatch):
             assert_same_result(got, expected)
 
 
-def reference_gwo_run(n, k, population, iterations, objective, constants, rng):
+def reference_gwo_run(n, k, population, iterations, objective, rng):
     # One leader at a time: two draws and one pull each, summed into zeros.
     # Positions are decoded through the gwo module, where the test records them.
     decode_rows = gwo.decode_rows
@@ -651,17 +601,17 @@ def reference_gwo_run(n, k, population, iterations, objective, constants, rng):
         objective.close_iteration()
 
 
-def reference_bat_run(n, k, population, iterations, objective, constants, rng):
+def reference_bat_run(n, k, population, iterations, objective, rng):
     # Flights and walks scored in two calls, flights first.
-    fmax = constants["freq_max"]
-    alpha = constants["loudness_decay"]
-    r0 = constants["pulse_rate"]
-    gamma = constants["pulse_growth"]
-    walk = constants["walk_scale"]
-    vmax = constants["velocity_clamp"]
+    fmax = bat.FREQ_MAX
+    alpha = bat.LOUDNESS_DECAY
+    r0 = bat.PULSE_RATE
+    gamma = bat.PULSE_GROWTH
+    walk = bat.WALK_SCALE
+    vmax = bat.VELOCITY_CLAMP
     x = rng.random((population, n))
     v = rng.uniform(-vmax, vmax, (population, n))
-    loud = np.full(population, constants["loudness"])
+    loud = np.full(population, bat.LOUDNESS)
     values = objective.value_positions(x)
     b = int(np.argmax(values))
     best_x = x[b].copy()
