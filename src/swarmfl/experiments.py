@@ -122,6 +122,9 @@ class ExperimentConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHM_INDEX]
         if unknown:
             raise ConfigError(f"unknown algorithms: {unknown}")
+        repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if repeated:
+            raise ConfigError(f"algorithms repeated: {', '.join(repeated)}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
         if not 0 <= self.base_seed < 2**64:

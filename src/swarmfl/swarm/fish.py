@@ -12,9 +12,12 @@ a turn uses only the draws it needs, so every probe point is known before
 the turns start.  A fish is *clear* when no spot another fish can occupy
 during its turn (a start position or a probe point) lies within its visual
 range: it is alone whatever the others do, and its prey reads and writes only
-its own row.  Each maximal run of clear fish therefore preys in lockstep, one
-objective call per probe round; the other fish take the sequential turn.  A
-fish that drifts to a new spot is checked against the later fish's starts.
+its own row.  Clearness is judged on one Gram product of squared distances
+and its error margin (``support.gram_sq_distances``, shared with glowworm),
+so an error can only make a fish not clear.  Each maximal run of clear fish
+therefore preys in lockstep, one objective call per probe round; the other
+fish take the sequential turn.  A fish that drifts to a new spot is checked
+against the later fish's starts.
 At the default visual range of 0.3, fish in [0,1]^N with N >= 10 sit about
 sqrt(N/6) apart, so nearly every fish is clear.
 """
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box
+from .support import BatchObjective, fold_into_box, gram_sq_distances
 
 EVAL_FACTOR = 3
 
@@ -37,15 +40,12 @@ _FISH_EVAL_CAP = 3
 def _farther(points, spots, visual):
     """True where ``points[a]`` is surely more than ``visual`` from ``spots[b]``.
 
-    Squared distances come from |a|^2 + |b|^2 - 2 a.b, whose rounding error
-    for coordinates in [0,1]^n stays below 4 n (n + 2) eps.  Demanding that
-    margin beyond visual^2 means an error can only call a distant fish near,
-    which sends it to the exact sequential turn.
+    Demanding the estimate's margin (``support.gram_sq_distances``) beyond
+    visual^2 means an error can only call a distant fish near, which sends it
+    to the exact sequential turn.
     """
-    n = points.shape[-1]
-    margin = 4.0 * n * (n + 2) * np.finfo(float).eps
-    sq = (points * points).sum(axis=-1)[:, None] + (spots * spots).sum(axis=-1)[None, :]
-    return sq - 2.0 * (points @ spots.T) > visual * visual + margin
+    sq, margin = gram_sq_distances(points, spots)
+    return sq > visual * visual + margin
 
 
 def _prey(objective, x, values, probes, fish):

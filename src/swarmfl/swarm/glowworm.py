@@ -7,8 +7,12 @@ brighter neighbor is a local champion; instead of standing still (which
 would stop producing new candidate subsets entirely) it probes a uniform
 random offset of scale ``IDLE_PROBE`` around itself.  Movement decisions use
 a synchronous snapshot of the swarm, so a whole iteration is one step: one
-pairwise-distance matrix, one roulette per row over the brighter neighbors,
-and one block of probes.  One evaluation per glowworm per iteration.
+neighbor matrix, one roulette per row over the brighter neighbors, and one
+block of moves and probes.  Neighbors come from one Gram product of squared
+distances (``support.gram_sq_distances``, shared with fish); a pair whose
+estimate lies within the error margin of radius^2 is settled by its exact
+norm, so the matrix is bit for bit the one the exact pairwise norms give.
+One evaluation per glowworm per iteration.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import math
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box, roulette
+from .support import BatchObjective, fold_into_box, gram_sq_distances, roulette
 
 EVAL_FACTOR = 1
 
@@ -30,6 +34,15 @@ TARGET_NEIGHBORS = 5
 IDLE_PROBE = 0.25
 
 
+def _exact_within(snapshot, rows, cols, radius):
+    """Whether each pair is within its row's radius, by the exact norm.
+
+    Bit for bit ``np.linalg.norm(d, axis=-1) < radius[rows]``.
+    """
+    d = snapshot[rows] - snapshot[cols]
+    return np.sqrt(np.add.reduce(d * d, -1)) < radius[rows]
+
+
 def step_swarm(snapshot, lucif, radius, r_sense, picks, probes):
     """Move every glowworm once from a synchronous snapshot.
 
@@ -38,9 +51,19 @@ def step_swarm(snapshot, lucif, radius, r_sense, picks, probes):
     is used only by the glowworms that need it.  Returns the moved positions
     and the updated decision radii.
     """
-    dist = np.linalg.norm(snapshot[:, None, :] - snapshot[None, :, :], axis=-1)
-    np.fill_diagonal(dist, np.inf)
-    brighter = (dist < radius[:, None]) & (lucif[None, :] > lucif[:, None])
+    # Neighbors within the radius, decided as the exact pairwise norm would
+    # decide them: the Gram estimate settles every pair further than its
+    # margin from radius^2, and only the pairs inside that band take the
+    # exact norm.
+    sq, margin = gram_sq_distances(snapshot, snapshot)
+    gap = sq - (radius * radius)[:, None]
+    np.fill_diagonal(gap, np.inf)
+    within = gap < -margin
+    band = np.flatnonzero(np.abs(gap) <= margin)
+    if band.size:
+        rows, cols = np.divmod(band, len(snapshot))
+        within.flat[band] = _exact_within(snapshot, rows, cols, radius)
+    brighter = within & (lucif[None, :] > lucif[:, None])
     counts = brighter.sum(axis=1)
 
     # Roulette over each row's brighter neighbors, weighted by luciferin gap.
@@ -53,12 +76,10 @@ def step_swarm(snapshot, lucif, radius, r_sense, picks, probes):
     target = roulette(cum, picks)
 
     d = snapshot[target] - snapshot
-    norm = np.linalg.norm(d, axis=1)
+    norm = np.sqrt(np.add.reduce(d * d, -1))
     moves = (counts > 0) & (norm > 0.0)  # coincident positions can differ in luciferin
-    moved = snapshot.copy()
-    moved[moves] = fold_into_box(snapshot[moves] + STEP * d[moves] / norm[moves, None])
-    idle = ~moves
-    moved[idle] = fold_into_box(snapshot[idle] + probes[idle])
+    pull = STEP * d / np.where(moves, norm, 1.0)[:, None]  # idle rows take the probe
+    moved = fold_into_box(snapshot + np.where(moves[:, None], pull, probes))
     gain = RADIUS_GAIN * (TARGET_NEIGHBORS - counts)
     return moved, np.minimum(r_sense, np.maximum(0.0, radius + gain))
 

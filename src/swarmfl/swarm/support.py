@@ -18,6 +18,7 @@ from ..fitness import SubsetObjective, client_fitness
 __all__ = [
     "bounce",
     "decode_rows",
+    "gram_sq_distances",
     "keyed_sample",
     "levy_sample",
     "roulette",
@@ -92,6 +93,37 @@ def fold_into_box(coords: np.ndarray) -> np.ndarray:
     """
     folded = np.abs(coords)
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
+
+
+def gram_sq_distances(points: np.ndarray, spots: np.ndarray):
+    """Squared distances from one Gram product, and the margin that makes them exact.
+
+    Returns the (m, p) estimates |a|^2 + |b|^2 - 2 a.b between ``points[a]``
+    and ``spots[b]``, and ``margin = 4 n (n + 2) eps`` for n coordinates.
+    With every coordinate in [0,1], comparing an estimate with ``r * r``
+    decides ``sqrt(add.reduce(d * d, -1)) < r`` for ``d = points[a] -
+    spots[b]`` (bit for bit what ``np.linalg.norm`` computes) whenever the
+    two differ by more than the margin: an estimate above ``r * r + margin``
+    means the exact norm is at least r, one below ``r * r - margin`` means it
+    is less.  With u = eps / 2 and S <= n the true squared distance, the
+    margin, (4 n^2 + 8 n) eps, covers:
+
+    - the Gram estimate's error, at most 4 n gamma_n + 3 n u, about
+      (2 n^2 + 1.5 n) eps, whatever the summation order;
+    - the exact sum of squares' error, at most gamma_(n+2) S, about
+      (n^2 / 2 + n) eps;
+    - rounding ``r * r`` and the square root, which move the threshold to
+      r^2 (1 - 2 eps) on the near side: at most 2.5 eps r^2 <= 5 n eps for
+      r^2 <= 2 n.  A larger r lies beyond every pair in the box: no estimate
+      reaches ``r * r + margin``, and the exact norm stays below r.
+
+    That is (2.5 n^2 + 7.5 n) eps, leaving (1.5 n^2 + 0.5 n) eps for the
+    higher-order terms and the rounding of the comparison itself.
+    """
+    n = points.shape[-1]
+    margin = 4.0 * n * (n + 2) * np.finfo(float).eps
+    sq = (points * points).sum(axis=-1)[:, None] + (spots * spots).sum(axis=-1)[None, :]
+    return sq - 2.0 * (points @ spots.T), margin
 
 
 def bounce(x: np.ndarray, v: np.ndarray):

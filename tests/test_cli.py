@@ -97,6 +97,18 @@ def test_validate_repeated_cell_label_is_exit_one(entry, repeated, tmp_path, cap
     assert captured.out == ""
 
 
+def test_validate_repeated_algorithm_is_exit_one(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({"experiment": "fixed", "algorithms": ["gwo", "pso", "gwo"]}),
+        encoding="utf-8",
+    )
+    assert main(["validate", "--config", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: algorithms repeated: gwo\n"
+    assert captured.out == ""
+
+
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
@@ -153,6 +165,21 @@ def test_run_rejects_unknown_algorithm_override(tiny_config_file, tmp_path, caps
     )
     assert code == 1
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["config", "override"])
+def test_run_rejects_repeated_algorithm(path, tiny_config_file, tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    args = ["run", "--config", str(tiny_config_file), "--out", str(out_dir)]
+    if path == "config":
+        config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+        config["algorithms"] = ["gwo", "gwo"]
+        tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    else:
+        args += ["--algorithms", "gwo,gwo"]
+    assert main(args) == 1
+    assert capsys.readouterr().err == "config error: algorithms repeated: gwo\n"
+    assert not out_dir.exists()
 
 
 def test_run_rejects_bad_parallel(tiny_config_file, tmp_path, capsys):

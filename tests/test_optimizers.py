@@ -323,6 +323,77 @@ def test_glowworm_vector_step_matches_per_worm_loop():
         np.testing.assert_array_equal(got_radius, expected_radius)
 
 
+def reference_glowworm_norm_step(snapshot, lucif, radius, r_sense, picks, probes):
+    """The step on the full (population, population, N) difference tensor's norms."""
+    dist = np.linalg.norm(snapshot[:, None, :] - snapshot[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    brighter = (dist < radius[:, None]) & (lucif[None, :] > lucif[:, None])
+    counts = brighter.sum(axis=1)
+    cum = np.cumsum(np.where(brighter, lucif[None, :] - lucif[:, None], 0.0), axis=1)
+    target = support.roulette(cum, picks)
+    d = snapshot[target] - snapshot
+    norm = np.linalg.norm(d, axis=1)
+    moves = (counts > 0) & (norm > 0.0)
+    moved = snapshot.copy()
+    moved[moves] = fold_into_box(
+        snapshot[moves] + glowworm.STEP * d[moves] / norm[moves, None]
+    )
+    idle = ~moves
+    moved[idle] = fold_into_box(snapshot[idle] + probes[idle])
+    gain = glowworm.RADIUS_GAIN * (glowworm.TARGET_NEIGHBORS - counts)
+    return moved, np.minimum(r_sense, np.maximum(0.0, radius + gain))
+
+
+def adversarial_glowworm_inputs(rng, population, n):
+    """Snapshots with coincident worms and wall or midpoint coordinates, and
+    radii on an exact pair distance, one ulp either side of it, or 0."""
+    snapshot = rng.random((population, n))
+    walls = rng.random((population, n)) < 0.3
+    snapshot[walls] = rng.choice([0.0, 0.5, 1.0], walls.sum())
+    snapshot[1] = snapshot[0]
+    lucif = rng.choice([3.0, 4.0, 4.5, 5.0, 6.0], population)
+    lucif[0], lucif[1] = 3.0, 6.0
+    dist = np.linalg.norm(snapshot[:, None, :] - snapshot[None, :, :], axis=-1)
+    radius = np.empty(population)
+    for i in range(population):
+        j = (i + 1 + rng.integers(population - 1)) % population
+        exact = dist[i, j]
+        radius[i] = rng.choice(
+            [exact, np.nextafter(exact, 0.0), np.nextafter(exact, np.inf), 0.0]
+        )
+    return snapshot, lucif, radius
+
+
+def test_glowworm_step_equals_the_pairwise_norm_step(monkeypatch):
+    # The Gram estimate must settle neighbors exactly as the norms do, so
+    # positions and radii are compared for equality, and the exact band
+    # (which real instances rarely reach) must be entered.
+    band_pairs = []
+    exact_within = glowworm._exact_within
+
+    def counting(snapshot, rows, cols, radius):
+        band_pairs.append(len(rows))
+        return exact_within(snapshot, rows, cols, radius)
+
+    monkeypatch.setattr(glowworm, "_exact_within", counting)
+    rng = np.random.default_rng(23)
+    for n in (1, 2, 10, 50):
+        for population in (2, 20):
+            r_sense = 0.5 * np.sqrt(n)
+            for _ in range(15):
+                snapshot, lucif, radius = adversarial_glowworm_inputs(rng, population, n)
+                picks = rng.random(population)
+                probes = rng.uniform(
+                    -glowworm.IDLE_PROBE, glowworm.IDLE_PROBE, (population, n)
+                )
+                args = (snapshot, lucif, radius, r_sense, picks, probes)
+                expected, expected_radius = reference_glowworm_norm_step(*args)
+                got, got_radius = glowworm.step_swarm(*args)
+                assert np.array_equal(got, expected)
+                assert np.array_equal(got_radius, expected_radius)
+    assert sum(band_pairs) > 0
+
+
 # --- batched asynchronous selectors against per-agent reference loops -------------
 
 

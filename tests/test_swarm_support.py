@@ -10,9 +10,11 @@ from swarmfl.swarm.support import (
     bounce,
     decode_rows,
     fold_into_box,
+    gram_sq_distances,
     keyed_sample,
     levy_sample,
 )
+from swarmfl.swarm import fish
 
 
 def make_objective(n, seed=0, coverage=0.0):
@@ -217,6 +219,45 @@ def test_fold_matches_three_step_reference():
 
 
 # --- BatchObjective -------------------------------------------------------------
+
+
+def point_sets(rng, n):
+    """Random points, box corners, coincident rows and half-integer coordinates."""
+    m = 12
+    coincident = rng.random((m, n))
+    coincident[m // 2 :] = coincident[: m - m // 2]
+    return [
+        rng.random((m, n)),
+        rng.integers(0, 2, (m, n)).astype(float),
+        coincident,
+        rng.integers(0, 3, (m, n)) / 2.0,
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+def test_gram_estimate_bound_is_sound(n):
+    rng = np.random.default_rng(40 + n)
+    for points in point_sets(rng, n):
+        spots = points[rng.permutation(len(points))]
+        spots[::3] = rng.random((len(spots[::3]), n))
+        sq, margin = gram_sq_distances(points, spots)
+        d = points[:, None, :] - spots[None, :, :]
+        exact_sq = np.add.reduce(d * d, -1)
+        assert np.all(np.abs(sq - exact_sq) <= margin)
+
+        # Ranges on every exact pair norm, one ulp either side of it, and fish's
+        # own: fish's far test and glowworm's near test each decide a pair only
+        # on the side its exact norm is on.
+        norm = np.linalg.norm(d, axis=-1)
+        ranges = np.concatenate(
+            [[fish.VISUAL], norm.ravel(), np.nextafter(norm, 0.0).ravel(),
+             np.nextafter(norm, np.inf).ravel()]
+        )
+        for r in ranges:
+            far = fish._farther(points, spots, r)
+            assert not np.any(far & (norm < r))
+            near = sq - r * r < -margin
+            assert not np.any(near & (norm >= r))
 
 
 def test_batch_matches_scalar_objective():
