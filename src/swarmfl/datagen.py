@@ -108,7 +108,7 @@ class LabeledDataset:
     def __post_init__(self) -> None:
         if self.features.shape[0] != self.labels.shape[0]:
             raise ValueError("features and labels row counts differ")
-        if self.labels.size and not np.isin(self.labels, (0, 1)).all():
+        if self.labels.size and not ((self.labels == 0) | (self.labels == 1)).all():
             raise ValueError("labels must be binary")
 
     def __len__(self) -> int:

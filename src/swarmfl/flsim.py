@@ -38,6 +38,7 @@ __all__ = [
     "logistic_loss",
     "loss_gradient",
     "local_train",
+    "train_cohort",
     "fed_avg",
     "evaluate_global",
     "run_round",
@@ -146,26 +147,59 @@ def local_train(
     rng: np.random.Generator,
 ) -> ModelParams:
     """One epoch of minibatch SGD on the logistic loss; returns new params."""
-    if len(data) == 0:
+    return train_cohort(params, [data], lr, batch_size, rng)[0]
+
+
+def train_cohort(
+    params: ModelParams,
+    datasets,
+    lr: float,
+    batch_size: int,
+    rng: np.random.Generator,
+) -> list:
+    """One epoch of minibatch SGD per dataset, all from ``params``.
+
+    Bit for bit the same as training each dataset alone, in input order:
+    every member's shuffle is drawn first, in that order, and datasets of
+    equal length then train together as one ``(B, m, d)`` stack, with the
+    weights as ``(B, d, 1)`` and the biases as ``(B, 1, 1)``.  Each member's
+    step keeps the one-client association (``_residual``, then
+    ``x_b.T @ err`` scaled by ``lr`` and divided by the batch size, and the
+    bias stepped by ``lr`` times the residual's mean), so stacking only saves
+    the per-client call overhead.  Returns the members' params in input order.
+    """
+    if any(len(data) == 0 for data in datasets):
         raise ValueError("cannot train on an empty dataset")
     if lr <= 0:
         raise ValueError("lr must be > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    w = params.weights.copy()
-    b = params.bias
-    order = rng.permutation(len(data))
-    with np.errstate(over="ignore"):
-        for lo in range(0, len(data), batch_size):
-            idx = order[lo : lo + batch_size]
-            x_b = data.features[idx]
-            err = _residual(x_b, w, b, data.labels[idx])
-            w -= lr * (x_b.T @ err) / idx.size
-            b -= lr * float(err.mean())
-    if not np.all(np.isfinite(w)) or not math.isfinite(b):
-        raise FloatingPointError("training produced non-finite parameters")
-    return ModelParams(weights=w, bias=b)
+    orders = [rng.permutation(len(data)) for data in datasets]
+    groups: dict = {}
+    for i, data in enumerate(datasets):
+        groups.setdefault(len(data), []).append(i)
+
+    trained = [None] * len(datasets)
+    for m, members in groups.items():
+        # Gather each member's shuffled rows once; a minibatch is then a slice.
+        n = len(members)
+        flat = (np.stack([orders[i] for i in members]) + m * np.arange(n)[:, None]).ravel()
+        x = np.concatenate([datasets[i].features for i in members])[flat].reshape(n, m, -1)
+        y = np.concatenate([datasets[i].labels for i in members])[flat].reshape(n, m, 1)
+        w = np.repeat(params.weights[None, :, None], n, axis=0)
+        b = np.full((n, 1, 1), params.bias)
+        with np.errstate(over="ignore"):
+            for lo in range(0, m, batch_size):
+                x_b = x[:, lo : lo + batch_size]
+                err = _residual(x_b, w, b, y[:, lo : lo + batch_size])
+                w -= lr * (x_b.transpose(0, 2, 1) @ err) / x_b.shape[1]
+                b -= lr * err.mean(axis=1, keepdims=True)
+        if not np.all(np.isfinite(w)) or not np.all(np.isfinite(b)):
+            raise FloatingPointError("training produced non-finite parameters")
+        for j, i in enumerate(members):
+            trained[i] = ModelParams(weights=w[j, :, 0], bias=float(b[j, 0, 0]))
+    return trained
 
 
 def fed_avg(updates) -> ModelParams:
@@ -252,13 +286,13 @@ def run_round(
     round_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
     result = optimize(problem, replace(config.optimizer, seed=round_seed))
 
-    updates = []
-    for i in sorted(result.best_subset):
-        trained = local_train(
-            global_params, pool[i].data, config.lr, config.batch_size, rng
-        )
-        updates.append((trained, len(pool[i].data)))
-    new_global = fed_avg(updates)
+    members = sorted(result.best_subset)
+    trained = train_cohort(
+        global_params, [pool[i].data for i in members], config.lr, config.batch_size, rng
+    )
+    new_global = fed_avg(
+        [(params, len(pool[i].data)) for params, i in zip(trained, members)]
+    )
     metrics = evaluate_global(new_global, test)
     record = RoundRecord(
         epoch=epoch,

@@ -274,3 +274,31 @@ def test_labeled_dataset_validation():
         LabeledDataset(features=np.zeros((2, 2)), labels=np.array([0, 2]))
     data = LabeledDataset(features=np.zeros((2, 2)), labels=np.array([0, 1]))
     assert len(data) == 2
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [[0, 2], [-1, 1], [0.5, 1.0], [0.0, np.nan], [2], [np.nan]],
+    ids=["two", "minus-one", "half", "nan", "lone-two", "lone-nan"],
+)
+def test_labeled_dataset_rejects_non_binary_labels(labels):
+    labels = np.asarray(labels)
+    with pytest.raises(ValueError, match="binary"):
+        LabeledDataset(features=np.zeros((labels.size, 1)), labels=labels)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([0, 1, 1, 0]),
+        np.array([0, 1], dtype=np.int8),
+        np.array([False, True]),
+        np.array([0.0, 1.0, 0.0]),
+        np.array([1.0], dtype=np.float32),
+        np.zeros(0),
+    ],
+    ids=["int", "int8", "bool", "float", "float32", "empty"],
+)
+def test_labeled_dataset_accepts_binary_labels(labels):
+    data = LabeledDataset(features=np.zeros((labels.size, 2)), labels=labels)
+    assert len(data) == labels.size

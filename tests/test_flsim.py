@@ -3,6 +3,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from swarmfl.flsim import (
     run_round,
     run_session,
     selection_size,
+    train_cohort,
 )
 from swarmfl.swarm import OptimizerParams
 
@@ -197,7 +199,7 @@ def test_training_and_gradient_share_the_residual_kernel(monkeypatch):
     kernel = flsim._residual
 
     def counted(features, weights, bias, labels):
-        calls.append(len(labels))
+        calls.append(labels.size)
         return kernel(features, weights, bias, labels)
 
     monkeypatch.setattr(flsim, "_residual", counted)
@@ -226,6 +228,84 @@ def test_local_train_argument_errors():
         local_train(ModelParams.zeros(2), data, 0.0, 4, rng)
     with pytest.raises(ValueError):
         local_train(ModelParams.zeros(2), data, 0.1, 0, rng)
+
+
+def reference_local_train(params, data, lr, batch_size, rng):
+    """The one-client SGD loop that ``train_cohort`` must reproduce bit for bit."""
+    w = params.weights.copy()
+    b = params.bias
+    order = rng.permutation(len(data))
+    with np.errstate(over="ignore"):
+        for lo in range(0, len(data), batch_size):
+            idx = order[lo : lo + batch_size]
+            x_b = data.features[idx]
+            err = 1.0 / (1.0 + np.exp(-(x_b @ w + b))) - data.labels[idx]
+            w -= lr * (x_b.T @ err) / idx.size
+            b -= lr * float(err.mean())
+    return w, b
+
+
+COHORT_LENGTHS = {
+    "one": [50],
+    "three": [50, 50, 50],
+    "ten": [200] * 10,
+    "unequal": [33, 50, 33, 8],
+}
+
+
+@pytest.mark.parametrize("batch_size", [1, 5, 7, 16, 32, 64])
+@pytest.mark.parametrize("cohort", COHORT_LENGTHS)
+@pytest.mark.parametrize("start", ["zeros", "nonzero"])
+def test_train_cohort_equals_training_each_client_alone(cohort, batch_size, start):
+    d = 10
+    datasets = [
+        random_dataset(n, d, seed=100 + i) for i, n in enumerate(COHORT_LENGTHS[cohort])
+    ]
+    if start == "zeros":
+        params = ModelParams.zeros(d)
+    else:
+        draw = np.random.default_rng(99)
+        params = ModelParams(weights=draw.standard_normal(d), bias=float(draw.standard_normal()))
+
+    rng, mirror = np.random.default_rng(7), np.random.default_rng(7)
+    trained = train_cohort(params, datasets, 0.1, batch_size, rng)
+    assert len(trained) == len(datasets)
+    for out, data in zip(trained, datasets):
+        w, b = reference_local_train(params, data, 0.1, batch_size, mirror)
+        assert np.array_equal(out.weights, w)
+        assert out.bias == b
+    assert rng.bit_generator.state == mirror.bit_generator.state
+    single = local_train(params, datasets[0], 0.1, batch_size, np.random.default_rng(7))
+    assert np.array_equal(single.weights, trained[0].weights) and single.bias == trained[0].bias
+
+
+def test_local_train_non_finite_result_raises():
+    data = dataset([[1e10]], [0])
+    with pytest.raises(FloatingPointError):
+        local_train(ModelParams.zeros(1), data, 1e308, 1, np.random.default_rng(9))
+
+
+def test_run_round_training_errors():
+    config, clients, test = small_pool(3, 30)
+    config = replace(config, select_fraction=1.0)
+    start = ModelParams.zeros(4)
+
+    def unchecked(**changes):
+        bad = replace(config)
+        for name, value in changes.items():
+            object.__setattr__(bad, name, value)
+        return bad
+
+    with pytest.raises(ValueError, match="empty"):
+        empty = SimpleNamespace(profile=clients[0].profile, data=dataset(np.zeros((0, 4)), []),
+                                class_distribution=clients[0].class_distribution)
+        run_round(start, [*clients[:2], empty], config, test, np.random.default_rng(31))
+    with pytest.raises(ValueError, match="lr"):
+        run_round(start, clients, unchecked(lr=0.0), test, np.random.default_rng(31))
+    with pytest.raises(ValueError, match="batch_size"):
+        run_round(start, clients, unchecked(batch_size=0), test, np.random.default_rng(31))
+    with np.errstate(invalid="ignore"), pytest.raises(FloatingPointError):
+        run_round(start, clients, unchecked(lr=1e308), test, np.random.default_rng(31))
 
 
 # --- federated averaging --------------------------------------------------------------
