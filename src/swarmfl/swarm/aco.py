@@ -33,14 +33,16 @@ ETA_FLOOR = 0.01
 def run(n, k, population, iterations, objective: BatchObjective, rng):
     tau = np.full(n, TAU_INIT)
     eta = objective.fitness - objective.fitness.min() + ETA_FLOOR
+    eta_beta = eta**BETA
 
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
-        rows = np.sort(keyed_sample(tau**ALPHA * eta**BETA, races, k), axis=1)
+        rows = keyed_sample(tau**ALPHA * eta_beta, races, k)
+        rows.sort(axis=1)
         values = objective.value_rows(rows)
 
-        best = int(np.argmax(values))
         tau *= 1.0 - EVAPORATION
-        tau[rows[best]] += DEPOSIT
-        np.clip(tau, TAU_MIN, TAU_MAX, out=tau)
+        tau[rows[values.argmax()]] += DEPOSIT
+        np.maximum(tau, TAU_MIN, out=tau)
+        np.minimum(tau, TAU_MAX, out=tau)
         objective.close_iteration()

@@ -10,9 +10,11 @@ A drop erodes only the client it has just visited, so the weights of the
 clients still open stay fixed for the whole drop.  Its ordered path is
 therefore one keyed sort of Exp(1) races (``support.keyed_sample``), the
 same distribution as step-by-step roulette.  Velocity and erosion then run
-along the path one visit at a time on plain floats, and only the path's
-entries of the weight vector are refreshed.  Drops stay sequential: each
-one sees the soil the previous drops left.
+along the path one visit at a time on plain floats, and each eroded client's
+sampling weight is written into the weight vector in place, through a
+``memoryview``, as soon as its soil changes; clients off the path keep
+theirs.  Drops stay sequential: each one sees the soil the previous drops
+left.
 
 Erosion and reinforcement rates here are deliberately gentle: literal
 textbook magnitudes collapse the field after a handful of visits at this
@@ -43,13 +45,14 @@ SOIL_MIN = 0.01
 SOIL_MAX = 1e6
 
 
-def erode(soil, path, eta_inv):
+def erode(soil, weights, path, eta_inv):
     """Apply one drop's velocity gain and erosion along its ordered path.
 
-    ``soil`` and ``eta_inv`` are lists of floats and ``path`` a list of
-    distinct indices; ``soil`` is updated in place.  Each visit reads its
-    client's soil before eroding it, and the velocity gains add in visit
-    order.
+    ``soil`` and ``eta_inv`` are lists of floats, ``weights`` a writable
+    float buffer (a ``memoryview`` of the sampling weights) and ``path`` a
+    list of distinct indices.  Each visit reads its client's soil before
+    eroding it, stores the eroded soil and writes the client's new sampling
+    weight ``1 / (PROB_EPS + soil)``; the velocity gains add in visit order.
     """
     # Local names: the loop runs once per visit of every drop.
     eps = PROB_EPS
@@ -71,29 +74,30 @@ def erode(soil, path, eta_inv):
         if s > soil_max:
             s = soil_max
         soil[i] = s
+        weights[i] = 1.0 / (eps + s)
 
 
 def run(n, k, population, iterations, objective: BatchObjective, rng):
     soil = [SOIL_INIT] * n
     weights = np.full(n, 1.0 / (PROB_EPS + SOIL_INIT))
+    # Writes through the view store one C double each, with no array scalar.
+    buffer = memoryview(weights)
     eta = objective.fitness - objective.fitness.min() + ETA_FLOOR
     eta_inv = (1.0 / eta).tolist()
 
     for _ in range(iterations):
         races = rng.standard_exponential((population, n))
-        paths = np.empty((population, k), dtype=int)
+        paths = []
         for d in range(population):
-            path = keyed_sample(weights, races[d], k)
-            paths[d] = path
-            visits = path.tolist()
-            erode(soil, visits, eta_inv)
-            weights[path] = [1.0 / (PROB_EPS + soil[i]) for i in visits]
-        rows = np.sort(paths, axis=1)
+            path = keyed_sample(weights, races[d], k).tolist()
+            erode(soil, buffer, path, eta_inv)
+            paths.append(path)
+        rows = np.array(paths)
+        rows.sort(axis=1)
         values = objective.value_rows(rows)
 
-        best = rows[int(np.argmax(values))]
-        picked = best.tolist()
-        for i in picked:
-            soil[i] = min(max(soil[i] * REINFORCE, SOIL_MIN), SOIL_MAX)
-        weights[best] = [1.0 / (PROB_EPS + soil[i]) for i in picked]
+        for i in rows[values.argmax()].tolist():
+            s = min(max(soil[i] * REINFORCE, SOIL_MIN), SOIL_MAX)
+            soil[i] = s
+            buffer[i] = 1.0 / (PROB_EPS + s)
         objective.close_iteration()

@@ -66,8 +66,11 @@ def keyed_sample(weights: np.ndarray, races: np.ndarray, k: int) -> np.ndarray:
     ``weights``: index i finishes an Exp(w_i) race, and the first finisher
     among those left is i with probability w_i / sum(w).  (Efraimidis &
     Spirakis, IPL 2006.)  The order is kept: column j is the (j+1)-th pick.
+    ``races`` is overwritten with the keys ``races / weights``, so each block
+    of draws serves one call.
     """
-    return (races / weights).argsort(axis=-1, kind="stable")[..., :k]
+    races /= weights
+    return races.argsort(axis=-1, kind="stable")[..., :k]
 
 
 def roulette(cum: np.ndarray, u) -> np.ndarray:

@@ -222,25 +222,40 @@ def reference_iwd_erosion(soil, path, eta_inv):
 
 
 def test_iwd_vector_erosion_matches_per_step_loop():
-    # iwd's per-drop kernel runs on plain floats; it must equal the per-visit
-    # loop bit for bit, clip at both bounds and touch only the path.
+    # iwd's per-drop kernel runs on plain floats and writes each eroded
+    # client's sampling weight through a memoryview.  Over a chain of drops,
+    # the soil must equal the per-visit loop bit for bit, clip at both bounds
+    # and change only on the path; after each drop the weights must be
+    # 1 / (PROB_EPS + soil) bit for bit on the path and untouched off it.
     rng = np.random.default_rng(21)
     n = 30
     eta_inv = 1.0 / rng.uniform(0.01, 1.5, n)
     floored = 0
     for trial in range(20):
-        soil = rng.uniform(0.01, 30.0, n)
-        path = rng.permutation(n)[: 2 + trial]
-        soil[path[-1]] = 2e6  # above soil_max: the clip pulls it back down
-        expected = soil.copy()
-        reference_iwd_erosion(expected, path, eta_inv)
-        got = soil.tolist()
-        iwd.erode(got, path.tolist(), eta_inv.tolist())
-        got = np.array(got)
-        np.testing.assert_array_equal(got, expected)
-        assert got[path[-1]] == iwd.SOIL_MAX
-        assert np.array_equal(np.flatnonzero(got != soil), np.sort(path))
-        floored += int(np.sum(got == iwd.SOIL_MIN))
+        expected = rng.uniform(0.01, 30.0, n)
+        soil = expected.tolist()
+        # arbitrary start weights, unrelated to the soil: only erode writes them
+        weights = rng.uniform(1.0, 2.0, n)
+        for drop in range(3):
+            path = rng.permutation(n)[: 2 + trial]
+            on_path = np.isin(np.arange(n), path)
+            if drop == 0:
+                # above soil_max: the clip pulls it back down
+                expected[path[-1]] = soil[path[-1]] = 2e6
+            soil_before = expected.copy()
+            weights_before = weights.copy()
+            reference_iwd_erosion(expected, path, eta_inv)
+            iwd.erode(soil, memoryview(weights), path.tolist(), eta_inv.tolist())
+            got = np.array(soil)
+            assert got.tobytes() == expected.tobytes()
+            if drop == 0:
+                assert got[path[-1]] == iwd.SOIL_MAX
+                assert np.array_equal(np.flatnonzero(got != soil_before), np.sort(path))
+            assert got[~on_path].tobytes() == soil_before[~on_path].tobytes()
+            refreshed = 1.0 / (iwd.PROB_EPS + got[on_path])
+            assert weights[on_path].tobytes() == refreshed.tobytes()
+            assert weights[~on_path].tobytes() == weights_before[~on_path].tobytes()
+            floored += int(np.sum(got == iwd.SOIL_MIN))
     assert floored > 0
 
 
