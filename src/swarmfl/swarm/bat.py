@@ -12,6 +12,10 @@ decays.
 Velocities start random and are clamped to +/-``VELOCITY_CLAMP``; a flight
 that would leave the unit box bounces, flipping the offending velocity
 component, so velocities cannot pin at the clamp and freeze the flight.
+``support.bounce`` does the clamp, the step and the reflection in one call.
+The walk's scale is the mean loudness, summed by ``np.add.reduce`` and divided
+by the population, which is what ``loud.mean()`` computes, without its
+wrapper.
 """
 
 from __future__ import annotations
@@ -46,11 +50,11 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     for t in range(iterations):
         pulse = PULSE_RATE * (1.0 - np.exp(-PULSE_GROWTH * t))
         freq = rng.uniform(0.0, FREQ_MAX, population)
-        flight, v = bounce(x, np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax))
+        flight, v = bounce(x, v + freq[:, None] * (x - best_x), vmax)
 
         walk_gate = rng.random(population) > pulse
         eps = rng.normal(0.0, 1.0, (population, n))
-        local = fold_into_box(best_x + WALK_SCALE * eps * loud.mean())
+        local = fold_into_box(best_x + WALK_SCALE * eps * (np.add.reduce(loud) / population))
 
         scored = objective.value_positions(np.concatenate([flight, local]))
         flight_values, local_values = scored[:population], scored[population:]

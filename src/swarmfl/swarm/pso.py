@@ -9,6 +9,13 @@ swarm gets its velocity re-randomized (the classic "craziness" kick).
 Particles bounce off the box walls — the offending velocity component flips
 sign — rather than parking on them.  One evaluation per particle per
 iteration.
+
+Each iteration updates the velocity in place, with the products and sums of
+``INERTIA * v + COGNITIVE * r1 * (pbest - x) + SOCIAL * r2 * (gbest - x)``
+taken in that order.  The kick draws a whole (population, N) block of U[0,1)
+values and maps only the kicked rows to ``-vmax + 2 vmax u``, which is what
+``rng.uniform(-vmax, vmax)`` returns from the same draws.  ``support.bounce``
+then clamps, steps and reflects in one call.
 """
 
 from __future__ import annotations
@@ -42,11 +49,17 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     for _ in range(iterations):
         r1 = rng.random((population, n))
         r2 = rng.random((population, n))
-        v = INERTIA * v + COGNITIVE * r1 * (pbest - x) + SOCIAL * r2 * (gbest - x)
-        mask = rng.random(population) < CRAZINESS
-        fresh = rng.uniform(-vmax, vmax, (population, n))
-        v = np.where(mask[:, None], fresh, v)
-        x, v = bounce(x, np.clip(v, -vmax, vmax))
+        r1 *= COGNITIVE
+        r1 *= pbest - x
+        r2 *= SOCIAL
+        r2 *= gbest - x
+        v *= INERTIA
+        v += r1
+        v += r2
+        kicked = rng.random(population) < CRAZINESS
+        u = rng.random((population, n))
+        v[kicked] = -vmax + (vmax - -vmax) * u[kicked]
+        x, v = bounce(x, v, vmax)
         values = objective.value_positions(x)
 
         improved = values > pbest_val

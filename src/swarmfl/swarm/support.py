@@ -91,8 +91,9 @@ def fold_into_box(coords: np.ndarray) -> np.ndarray:
 
     Plain clamping piles coordinates up on the walls, where rank decoding
     degenerates into index-order tie-breaking; reflection keeps them spread.
-    Coordinates with |x| > 2 land on the 0 wall.  Three ufunc calls keep this
-    cheap on the single rows and small batches that fish and bee move.
+    Coordinates with |x| > 2 land on the 0 wall.  Four ufunc calls (``abs``,
+    ``2.0 - folded``, ``minimum``, ``maximum``) keep this cheap on the single
+    rows and small batches that fish and bee move.
     """
     folded = np.abs(coords)
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
@@ -129,16 +130,23 @@ def gram_sq_distances(points: np.ndarray, spots: np.ndarray):
     return sq - 2.0 * (points @ spots.T), margin
 
 
-def bounce(x: np.ndarray, v: np.ndarray):
-    """Step ``x`` by ``v`` off the box walls; returns the new position and velocity.
+def bounce(x: np.ndarray, v: np.ndarray, vmax: float):
+    """Clamp ``v`` to +/-``vmax``, step ``x`` by it off the box walls.
 
-    Each velocity component whose step leaves [0,1] flips sign, and the step
-    is folded back into the box, so a velocity clamped at its limit cannot
-    keep pushing a coordinate into a wall.
+    Returns the new position and velocity as fresh arrays; neither argument
+    is changed.  Each clamped velocity component whose step leaves [0,1]
+    flips sign, and the step is folded back into the box, so a velocity
+    clamped at its limit cannot keep pushing a coordinate into a wall.  The
+    fold moves exactly the steps that left the box (for finite input,
+    ``folded != raw`` is ``(raw < 0) | (raw > 1)``), so those components are
+    found from it and negated in place.
     """
-    raw = x + v
-    out = (raw < 0.0) | (raw > 1.0)
-    return fold_into_box(raw), np.where(out, -v, v)
+    speed = np.maximum(v, -vmax)
+    np.minimum(speed, vmax, out=speed)
+    raw = x + speed
+    folded = fold_into_box(raw)
+    np.negative(speed, out=speed, where=folded != raw)
+    return folded, speed
 
 
 class BatchObjective:

@@ -23,11 +23,11 @@ from swarmfl.swarm import (
     gwo,
     iwd,
     optimize,
+    pso,
     support,
 )
 from swarmfl.swarm.support import (
     BatchObjective,
-    bounce,
     decode_rows,
     fold_into_box,
     keyed_sample,
@@ -688,7 +688,8 @@ def reference_gwo_run(n, k, population, iterations, objective, rng):
 
 
 def reference_bat_run(n, k, population, iterations, objective, rng):
-    # Flights and walks scored in two calls, flights first.
+    # Flights and walks scored in two calls, flights first; the clamp, the
+    # step and the bounce as three separate steps.
     fmax = bat.FREQ_MAX
     alpha = bat.LOUDNESS_DECAY
     r0 = bat.PULSE_RATE
@@ -705,7 +706,10 @@ def reference_bat_run(n, k, population, iterations, objective, rng):
     for t in range(iterations):
         pulse = r0 * (1.0 - np.exp(-gamma * t))
         freq = rng.uniform(0.0, fmax, population)
-        flight, v = bounce(x, np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax))
+        v = np.clip(v + freq[:, None] * (x - best_x), -vmax, vmax)
+        raw = x + v
+        out = (raw < 0.0) | (raw > 1.0)
+        flight, v = fold_into_box(raw), np.where(out, -v, v)
         walk_gate = rng.random(population) > pulse
         eps = rng.normal(0.0, 1.0, (population, n))
         local = fold_into_box(best_x + walk * eps * loud.mean())
@@ -721,6 +725,41 @@ def reference_bat_run(n, k, population, iterations, objective, rng):
         if values[b] > best_val:
             best_x = x[b].copy()
             best_val = float(values[b])
+        objective.close_iteration()
+
+
+def reference_pso_run(n, k, population, iterations, objective, rng, kicks):
+    # One expression for the velocity, a full uniform block for the kick,
+    # np.clip, then the bounce as a mask of the steps that left the box.
+    vmax = pso.VELOCITY_CLAMP
+    x = rng.random((population, n))
+    v = rng.uniform(-vmax, vmax, (population, n))
+    values = objective.value_positions(x)
+    pbest = x.copy()
+    pbest_val = values.copy()
+    g = int(np.argmax(values))
+    gbest = x[g].copy()
+    gbest_val = float(values[g])
+    for _ in range(iterations):
+        r1 = rng.random((population, n))
+        r2 = rng.random((population, n))
+        v = pso.INERTIA * v + pso.COGNITIVE * r1 * (pbest - x) + pso.SOCIAL * r2 * (gbest - x)
+        mask = rng.random(population) < pso.CRAZINESS
+        kicks.append(int(mask.sum()))
+        fresh = rng.uniform(-vmax, vmax, (population, n))
+        v = np.where(mask[:, None], fresh, v)
+        v = np.clip(v, -vmax, vmax)
+        raw = x + v
+        out = (raw < 0.0) | (raw > 1.0)
+        x, v = fold_into_box(raw), np.where(out, -v, v)
+        values = objective.value_positions(x)
+        improved = values > pbest_val
+        pbest[improved] = x[improved]
+        pbest_val[improved] = values[improved]
+        g = int(np.argmax(pbest_val))
+        if pbest_val[g] > gbest_val:
+            gbest = pbest[g].copy()
+            gbest_val = float(pbest_val[g])
         objective.close_iteration()
 
 
@@ -773,8 +812,22 @@ def test_bat_matches_two_call_loop(monkeypatch):
         assert got_scored == expected_scored
 
 
+@pytest.mark.parametrize("population", [2, 3, 20])
+def test_pso_matches_clip_and_uniform_loop(population, monkeypatch):
+    kicks = []
+    reference = functools.partial(reference_pso_run, kicks=kicks)
+    for seed, problem in enumerate(FUSED_CASES):
+        params = OptimizerParams("pso", population=population, seed=seed)
+        got, got_scored = run_recording(problem, params, monkeypatch)
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference)
+        assert_same_result(got, expected)
+        assert got_scored == expected_scored
+    # The kicked rows must come into play, not only the velocity update.
+    assert sum(kicks) > 0
+
+
 @pytest.mark.parametrize(
-    "name, calls_per_iteration", [("bat", 1), ("fish", 4), ("bee", 3)]
+    "name, calls_per_iteration", [("pso", 1), ("bat", 1), ("fish", 4), ("bee", 3)]
 )
 def test_batched_selectors_make_few_calls(name, calls_per_iteration, monkeypatch):
     calls = []

@@ -177,12 +177,50 @@ def test_keyed_sample_k_equals_n_returns_every_index():
 
 
 def test_bounce_flips_only_the_components_that_leave_the_box():
-    x = np.array([[0.1, 0.5, 0.9, 0.0]])
-    v = np.array([[-0.3, 0.2, 0.3, 0.0]])
-    new_x, new_v = bounce(x, v)
-    np.testing.assert_allclose(new_x, [[0.2, 0.7, 0.8, 0.0]], atol=1e-15)
-    np.testing.assert_array_equal(new_v, [[0.3, 0.2, -0.3, 0.0]])
-    np.testing.assert_array_equal(x, [[0.1, 0.5, 0.9, 0.0]])
+    x = np.array([[0.1, 0.5, 0.9, 0.0, 0.4]])
+    v = np.array([[-0.3, 0.2, 0.3, 0.0, 0.9]])
+    new_x, new_v = bounce(x, v, 0.5)
+    np.testing.assert_allclose(new_x, [[0.2, 0.7, 0.8, 0.0, 0.9]], atol=1e-15)
+    np.testing.assert_array_equal(new_v, [[0.3, 0.2, -0.3, 0.0, 0.5]])
+    np.testing.assert_array_equal(x, [[0.1, 0.5, 0.9, 0.0, 0.4]])
+    np.testing.assert_array_equal(v, [[-0.3, 0.2, 0.3, 0.0, 0.9]])
+
+
+def reference_bounce(x, v, vmax):
+    """The clamp, the step and the bounce as separate steps, with a range mask."""
+    v = np.clip(v, -vmax, vmax)
+    raw = x + v
+    out = (raw < 0.0) | (raw > 1.0)
+    return fold_into_box(raw), np.where(out, -v, v)
+
+
+def bounce_inputs(rng):
+    """(x, v, vmax): random steps, and steps that end on a wall, at the clamp or past +/-2."""
+    yield rng.random((20, 25)), rng.uniform(-1.0, 1.0, (20, 25)), 0.5
+    yield rng.random((3, 50)), rng.normal(0.0, 2.0, (3, 50)), 3.0
+    edge = np.array([0.0, -0.0, 0.25, 0.5, 0.75, 1.0])
+    x, v = (a.ravel() for a in np.meshgrid(edge, np.concatenate([edge - 1.0, edge])))
+    for vmax in (0.25, 0.5, 1.0):
+        yield x[None, :], v[None, :], vmax
+    # Steps of exactly +/-vmax, and beyond it, from points near the walls.
+    x = np.array([[0.0, 1.0, 0.5, 0.5, 0.1, 0.9, -0.0, 1.0, 0.3]])
+    v = np.array([[0.5, -0.5, 0.5, -0.5, -0.5, 0.5, -0.0, 0.0, 7.0]])
+    yield x, v, 0.5
+    yield x, -v, 0.5
+    # Steps past +/-2, which fold onto the 0 wall.
+    yield np.array([[0.5, 0.5, 0.0, 1.0]]), np.array([[2.5, -2.5, -2.0, 1.0]]), 3.0
+
+
+def test_bounce_equals_clip_step_and_mask_bit_for_bit():
+    rng = np.random.default_rng(10)
+    for x, v, vmax in bounce_inputs(rng):
+        x_before, v_before = x.tobytes(), v.tobytes()
+        new_x, new_v = bounce(x, v, vmax)
+        ref_x, ref_v = reference_bounce(x, v, vmax)
+        assert new_x.tobytes() == ref_x.tobytes()
+        assert new_v.tobytes() == ref_v.tobytes()
+        assert x.tobytes() == x_before and v.tobytes() == v_before
+        assert not np.shares_memory(new_x, x) and not np.shares_memory(new_v, v)
 
 
 def test_fold_hand_case():
