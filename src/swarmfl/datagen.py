@@ -45,7 +45,7 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.n_train_per_client < 1 or self.n_test < 1 or self.n_features < 1:
             raise ValueError("dataset counts must be >= 1")
-        if self.class_separation <= 0:
+        if not self.class_separation > 0:
             raise ValueError("class_separation must be > 0")
         if self.n_classes != 2:
             raise ValueError("only the two-class task is supported")
@@ -61,7 +61,7 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("iid", "dirichlet"):
             raise ConfigError(f"partition mode must be iid or dirichlet, got {self.mode!r}")
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be > 0")
 
 
@@ -159,7 +159,7 @@ def gen_dataset(
     props = np.asarray(class_proportions, dtype=float)
     if props.shape != (2,):
         raise ValueError("class_proportions must have length 2")
-    if np.any(props < 0) or abs(props.sum() - 1.0) > _SUM_TOL:
+    if not (np.all(props >= 0) and abs(props.sum() - 1.0) <= _SUM_TOL):
         raise ValueError("class_proportions must be nonnegative and sum to 1")
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -175,7 +175,7 @@ def dirichlet_partition(
     alpha: float, n_clients: int, n_classes: int, rng: np.random.Generator
 ) -> list:
     """Per-client class-proportion vectors drawn from a symmetric Dirichlet."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be > 0")
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
@@ -472,9 +473,15 @@ def _integer(value, key):
 
 
 def _number(value, key):
-    """A JSON integer or float; booleans and strings are not numbers here."""
+    """A finite JSON integer or float; booleans and strings are not numbers here.
+
+    ``json.load`` accepts the literals ``NaN``, ``Infinity`` and
+    ``-Infinity``; they are rejected here, before any range check sees them.
+    """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 
 

@@ -55,9 +55,10 @@ class ClientProfile:
             raise ValueError(
                 f"false_positive_rate out of [0,1]: {self.false_positive_rate}"
             )
-        if self.response_time <= 0.0:
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not self.response_time > 0.0:
             raise ValueError(f"response_time must be > 0, got {self.response_time}")
-        if abs(self.label_flip_rate - (1.0 - self.det_accuracy)) > 1e-12:
+        if not abs(self.label_flip_rate - (1.0 - self.det_accuracy)) <= 1e-12:
             raise ValueError(
                 "label_flip_rate must equal 1 - det_accuracy "
                 f"({self.label_flip_rate} vs {1.0 - self.det_accuracy})"
@@ -73,7 +74,7 @@ class FitnessWeights:
     w3: float = 0.1
 
     def __post_init__(self) -> None:
-        if self.w1 < 0 or self.w2 < 0 or self.w3 < 0:
+        if not (self.w1 >= 0 and self.w2 >= 0 and self.w3 >= 0):
             raise ValueError("fitness weights must be nonnegative")
         if self.w1 == 0 and self.w2 == 0 and self.w3 == 0:
             raise ValueError("at least one fitness weight must be positive")
@@ -97,7 +98,7 @@ class SubsetObjective:
     def __post_init__(self) -> None:
         if len(self.profiles) == 0:
             raise ValueError("objective needs at least one profile")
-        if self.coverage_bonus < 0:
+        if not self.coverage_bonus >= 0:
             raise ValueError("coverage_bonus must be nonnegative")
         if self.coverage_bonus > 0:
             dists = self.class_distributions
@@ -111,9 +112,9 @@ class SubsetObjective:
                     f"({len(dists)} vs {len(self.profiles)})"
                 )
             for i, dist in enumerate(dists):
-                if any(p < 0 for p in dist):
+                if not all(p >= 0 for p in dist):
                     raise ValueError(f"class_distributions[{i}] has negative entry")
-                if abs(sum(dist) - 1.0) > _SUM_TOL:
+                if not abs(sum(dist) - 1.0) <= _SUM_TOL:
                     raise ValueError(f"class_distributions[{i}] does not sum to 1")
 
 
@@ -123,7 +124,7 @@ def client_fitness(profile: ClientProfile, weights: FitnessWeights) -> float:
     Uses the *reported* accuracy: the selector only ever sees what clients
     claim about themselves.
     """
-    if profile.response_time <= 0:
+    if not profile.response_time > 0:
         raise ValueError("response_time must be positive")
     return (
         weights.w1 * profile.reported_accuracy

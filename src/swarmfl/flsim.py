@@ -79,7 +79,7 @@ class ClientState:
         if len(self.data) == 0:
             raise ValueError("client data must be nonempty")
         dist = np.asarray(self.class_distribution, dtype=float)
-        if abs(dist.sum() - 1.0) > _SUM_TOL:
+        if not abs(dist.sum() - 1.0) <= _SUM_TOL:
             raise ValueError("class_distribution must sum to 1")
         object.__setattr__(self, "class_distribution", dist)
 
@@ -170,7 +170,7 @@ def train_cohort(
     """
     if any(len(data) == 0 for data in datasets):
         raise ValueError("cannot train on an empty dataset")
-    if lr <= 0:
+    if not lr > 0:
         raise ValueError("lr must be > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
@@ -324,9 +324,9 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.select_fraction <= 1.0:
             raise ValueError("select_fraction must be in (0, 1]")
-        if self.coverage_bonus < 0:
+        if not self.coverage_bonus >= 0:
             raise ValueError("coverage_bonus must be nonnegative")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

@@ -7,18 +7,26 @@ trial limit is abandoned and re-scouted uniformly.  At most one scout per
 iteration, so evaluations stay within twice the population per iteration.
 
 Bees move one after another, each seeing the moves before it.  No draw
-depends on the colony's state, so each phase draws its moves as blocks, in a
-fixed order: every bee's dimension, then every partner, then every step (an
-onlooker phase draws its roulette picks first).  The colony keeps each
-source's decoded subset next to its position.  A move whose candidate decodes
-to its source's subset scores exactly the source's value, so it cannot win
-and writes nothing; at the default population, on 10/3 to 50/20 problems,
-fewer than one move in five changes the subset.  The phase is scored in runs:
-from the current state, the remaining moves are proposed and decoded, and a
-run ends at the first move whose source, or whose partner's coordinate in the
-moved dimension, an earlier subset-changing move of the run may have written.
-Every move of a run is scored, in order, in one call: the result is that of a
-per-bee loop on the same draws, bit for bit.
+depends on the colony's state, so each iteration draws its moves up front in
+four generator calls, in the order in which per-phase blocks would draw
+them: the employed bees' dimensions and partner offsets as one bounded-integer
+call, their steps and the onlookers' roulette picks as one ``random`` call,
+then the onlookers' dimensions and partner offsets, then their steps; the
+scout's draw follows both phases.  numpy draws bounded integers through the
+same 32-bit sampler for an array bound as for a scalar one, so one call over
+the bounds ``[n]*count + [n_sources-1]*count`` gives the values, and leaves
+the generator state, of two scalar-bound calls of ``count`` draws each.  A
+step is ``-1.0 + 2.0 * u``, which is what ``uniform(-1, 1)`` returns for the
+same ``u``.  The colony keeps each source's decoded subset next to its
+position.  A move whose candidate decodes to its source's subset scores
+exactly the source's value, so it cannot win and writes nothing; at the
+default population, on 10/3 to 50/20 problems, fewer than one move in five
+changes the subset.  The phase is scored in runs: from the current state, the
+remaining moves are proposed and decoded, and a run ends at the first move
+whose source, or whose partner's coordinate in the moved dimension, an
+earlier subset-changing move of the run may have written.  Every move of a
+run is scored, in order, in one call: the result is that of a per-bee loop on
+the same draws, bit for bit.
 """
 
 from __future__ import annotations
@@ -65,26 +73,26 @@ def _run_end(sources, dims, partners, changed):
     return len(sources)
 
 
-def _visit(objective, x, rows, values, trials, sources, rng):
-    """Draw and apply a phase's moves in order: greedy replacement and trial counts.
+def _visit(objective, x, rows, values, trials, sources, moves, phis):
+    """Apply a phase's drawn moves in order: greedy replacement and trial counts.
 
-    Draws every move's dimension, then its partner among the other sources
-    (drawn in ``0..n_sources-2``, skipping the source), then its step.
+    ``moves`` holds every move's dimension, then its partner offset among the
+    other sources (in ``0..n_sources-2``, skipping the source; shifted into a
+    partner index in place); ``phis`` holds every move's step.
     """
-    n_sources, n = x.shape
+    n_sources = len(x)
     count = len(sources)
-    dims = rng.integers(n, size=count)
-    others = rng.integers(n_sources - 1, size=count)
-    phis = rng.uniform(-1.0, 1.0, count)
-    partners = others + (others >= sources)
+    dims, partners = moves[:count], moves[count:]
+    partners += partners >= sources
     start = 0
     while start < count:
         src, dim, partner = sources[start:], dims[start:], partners[start:]
         cand = propose(x, src, dim, partner, phis[start:])
         crow = decode_rows(cand, rows.shape[1])
-        changed = (crow != rows[src]).any(axis=1)
+        changed = np.logical_or.reduce(crow != rows[src], axis=1)
         end = _run_end(src.tolist(), dim.tolist(), partner.tolist(), changed.tolist())
-        src, cand, crow = src[:end], cand[:end], crow[:end]
+        if start + end < count:
+            src, cand, crow = src[:end], cand[:end], crow[:end]
         vals = objective.value_rows(crow)
         # A source may recur in a run, and every visit counts as a trial; a
         # winner is its source's last move in the run, so its reset comes last.
@@ -103,6 +111,8 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     n_sources = max(2, population // 2)
     n_onlookers = population - n_sources
     limit = n_sources * n
+    employed_bounds = np.repeat([n, n_sources - 1], n_sources)
+    onlooker_bounds = np.repeat([n, n_sources - 1], n_onlookers)
 
     x = rng.random((n_sources, n))
     rows = decode_rows(x, k)
@@ -111,14 +121,19 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     employed = np.arange(n_sources)
 
     for _ in range(iterations):
-        _visit(objective, x, rows, values, trials, employed, rng)
+        # The iteration's four draws, in per-phase order (module docstring).
+        moves = rng.integers(employed_bounds)
+        u = rng.random(n_sources + n_onlookers)
+        phis = -1.0 + 2.0 * u[:n_sources]
+        _visit(objective, x, rows, values, trials, employed, moves, phis)
 
-        weights = np.maximum(values - values.min(), SELECTION_FLOOR)
-        picks = rng.random(n_onlookers)
-        onlookers = roulette(np.cumsum(weights), picks)
-        _visit(objective, x, rows, values, trials, onlookers, rng)
+        weights = np.maximum(values - np.minimum.reduce(values), SELECTION_FLOOR)
+        onlookers = roulette(np.add.accumulate(weights), u[n_sources:])
+        moves = rng.integers(onlooker_bounds)
+        phis = -1.0 + 2.0 * rng.random(n_onlookers)
+        _visit(objective, x, rows, values, trials, onlookers, moves, phis)
 
-        stale = int(np.argmax(trials))
+        stale = trials.argmax()
         if trials[stale] > limit:
             x[stale] = rng.random(n)
             rows[stale] = decode_rows(x[stale], k)

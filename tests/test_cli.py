@@ -109,6 +109,38 @@ def test_validate_repeated_algorithm_is_exit_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"]
+)
+@pytest.mark.parametrize(
+    "entry, key",
+    [
+        (lambda v: {"lr": v}, "lr"),
+        (lambda v: {"weights": {"w1": v, "w2": 1.0, "w3": 0.1}}, "weights.w1"),
+        (lambda v: {"partition": {"mode": "dirichlet", "alpha": v}}, "partition.alpha"),
+        (lambda v: {"experiment": "noise", "noise_levels": [0.25, v]}, "noise_levels[1]"),
+    ],
+    ids=["lr", "weights-w1", "partition-alpha", "noise_levels-element"],
+)
+def test_non_finite_config_number_is_exit_one(
+    entry, key, value, tiny_config_file, tmp_path, capsys
+):
+    # json.load accepts the NaN, Infinity and -Infinity literals json.dumps writes.
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(entry(value))
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "x"
+    for args in (
+        ["validate", "--config", str(tiny_config_file)],
+        ["run", "--config", str(tiny_config_file), "--out", str(out_dir)],
+    ):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key} must be a finite number, got {value!r}\n"
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):
     out_dir = tmp_path / "results"
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0

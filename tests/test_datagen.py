@@ -114,6 +114,15 @@ def test_gen_dataset_errors():
         gen_dataset(spec, 0, (0.5, 0.5), rng)
 
 
+@pytest.mark.parametrize(
+    "proportions", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)]
+)
+def test_gen_dataset_rejects_nan_proportions(proportions):
+    # A NaN share would label every sample 0 (u < NaN is false).
+    with pytest.raises(ValueError):
+        gen_dataset(DatasetSpec(), 10, proportions, np.random.default_rng(36))
+
+
 # --- partitions -------------------------------------------------------------------
 
 
@@ -250,6 +259,20 @@ def test_dataset_spec_validation():
         DatasetSpec(class_separation=0.0)
     with pytest.raises(ValueError):
         DatasetSpec(n_classes=3)
+
+
+@pytest.mark.parametrize("separation", [math.nan, -math.inf])
+def test_dataset_spec_rejects_nan(separation):
+    with pytest.raises(ValueError):
+        DatasetSpec(class_separation=separation)
+
+
+@pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+def test_partition_spec_rejects_nan(mode):
+    with pytest.raises(ValueError):
+        PartitionSpec(mode=mode, alpha=math.nan)
+    with pytest.raises(ValueError):
+        dirichlet_partition(math.nan, 3, 2, np.random.default_rng(0))
 
 
 def test_partition_spec_validation():

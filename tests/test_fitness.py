@@ -115,6 +115,40 @@ def test_profile_rejects_bad_fields():
                       label_flip_rate=0.5)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        "det_accuracy",
+        "false_positive_rate",
+        "response_time",
+        "reported_accuracy",
+        "label_flip_rate",
+    ],
+)
+def test_profile_rejects_nan(field):
+    # Every comparison with NaN is false, so each check must fail on false.
+    fields = dict(
+        id=0,
+        det_accuracy=0.8,
+        false_positive_rate=0.1,
+        response_time=0.5,
+        reported_accuracy=0.8,
+        label_flip_rate=1.0 - 0.8,
+    )
+    ClientProfile(**fields)
+    fields[field] = math.nan
+    with pytest.raises(ValueError):
+        ClientProfile(**fields)
+
+
+@pytest.mark.parametrize("index", [0, 1, 2])
+def test_weights_reject_nan(index):
+    weights = [1.0, 1.0, 0.1]
+    weights[index] = math.nan
+    with pytest.raises(ValueError):
+        FitnessWeights(*weights)
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         FitnessWeights(-1.0, 1.0, 1.0)
@@ -139,6 +173,21 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         SubsetObjective(profiles=[profile()], coverage_bonus=1.0,
                         class_distributions=[(-0.1, 1.1)])
+
+
+@pytest.mark.parametrize(
+    "bonus, dists",
+    [
+        (math.nan, None),
+        (1.0, [(math.nan, 0.5)]),
+        (1.0, [(0.5, math.nan)]),
+        (1.0, [(math.nan, math.nan)]),
+    ],
+    ids=["bonus", "first-share", "second-share", "both-shares"],
+)
+def test_objective_rejects_nan(bonus, dists):
+    with pytest.raises(ValueError):
+        SubsetObjective(profiles=[profile()], coverage_bonus=bonus, class_distributions=dists)
 
 
 # --- subset_objective --------------------------------------------------------

@@ -75,6 +75,13 @@ def test_client_state_validation():
         ClientState(profile=profile, data=data, class_distribution=np.array([0.5, 0.6]))
 
 
+@pytest.mark.parametrize("dist", [[np.nan, 0.5], [0.5, np.nan], [np.nan, np.nan]])
+def test_client_state_rejects_nan_distribution(dist):
+    profile = sample_client_profiles(1, NoiseSpec(0.0), np.random.default_rng(0))[0]
+    with pytest.raises(ValueError):
+        ClientState(profile=profile, data=random_dataset(5, 2, 1), class_distribution=np.array(dist))
+
+
 def test_global_metrics_validation():
     with pytest.raises(ValueError):
         GlobalMetrics(accuracy=1.1, recall=0.5, f1=0.5)
@@ -573,3 +580,16 @@ def test_session_config_validation():
         SessionConfig(schedule=sched, lr=0.0)
     with pytest.raises(ValueError):
         SessionConfig(schedule=sched, batch_size=0)
+
+
+@pytest.mark.parametrize("field", ["select_fraction", "coverage_bonus", "lr"])
+def test_session_config_rejects_nan(field):
+    sched = ParticipationSchedule("fixed", 5, 5, 2)
+    with pytest.raises(ValueError):
+        SessionConfig(schedule=sched, **{field: np.nan})
+
+
+def test_training_rejects_nan_lr():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        local_train(ModelParams.zeros(2), random_dataset(5, 2, 1), np.nan, 4, rng)

@@ -467,8 +467,13 @@ def reference_fish_run(n, k, population, iterations, objective, rng, fired):
         objective.close_iteration()
 
 
-def reference_bee_run(n, k, population, iterations, objective, rng):
-    """The per-bee loop on bee's per-phase draw blocks: one move and one call at a time."""
+def reference_bee_run(n, k, population, iterations, objective, rng, scouts):
+    """The per-bee loop on per-phase draw blocks: one move and one call at a time.
+
+    Each phase draws its dimensions, partners and steps with their own
+    ``integers``/``integers``/``uniform`` calls; bee's four calls per
+    iteration must reproduce them.  Appends each re-scouted source to ``scouts``.
+    """
     n_sources = max(2, population // 2)
     n_onlookers = population - n_sources
     limit = n_sources * n
@@ -515,6 +520,7 @@ def reference_bee_run(n, k, population, iterations, objective, rng):
 
         stale = int(np.argmax(trials))
         if trials[stale] > limit:
+            scouts.append(stale)
             x[stale] = rng.random(n)
             values[stale] = objective.value_positions(x[stale][None, :])[0]
             trials[stale] = 0
@@ -623,12 +629,49 @@ def test_bee_runs_match_per_bee_loop(population, monkeypatch):
         sampled_problem(50, 20, seed=65),
         sampled_problem(2, 1, seed=66),
     ]
+    scouts = []
+    reference = functools.partial(reference_bee_run, scouts=scouts)
     for seed, problem in enumerate(problems):
         params = OptimizerParams("bee", population=population, iterations=60, seed=seed)
         got, got_scored = run_recording(problem, params, monkeypatch)
-        expected, expected_scored = run_recording(problem, params, monkeypatch, reference_bee_run)
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference)
         assert_same_result(got, expected)
         assert got_scored == expected_scored
+    # The scout's draw follows both phases' blocks, so it must come into play.
+    assert scouts
+
+
+# (bound, count) blocks drawn by one array-bound call.  Bound 1 draws nothing,
+# 3_000_000_000 rejects often in the 32-bit sampler, 2**32 - 1 is its largest
+# bound below the full-word path, and a count of 0 is an empty phase.
+DRAW_BLOCKS = [
+    [(10, 10), (9, 10)],
+    [(25, 10), (9, 10)],
+    [(5, 2), (1, 2)],
+    [(1, 3), (5, 3), (1, 3)],
+    [(3_000_000_000, 40), (2**32 - 1, 40)],
+    [(2**32 - 1, 7), (3, 7), (3_000_000_000, 7)],
+    [(25, 0), (9, 0)],
+    [],
+]
+
+
+@pytest.mark.parametrize("blocks", DRAW_BLOCKS)
+def test_array_bound_integers_equal_consecutive_scalar_calls(blocks):
+    for seed in range(20):
+        one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+        bounds = np.array([b for b, c in blocks for _ in range(c)], dtype=np.int64)
+        got = one.integers(bounds)
+        expected = np.concatenate(
+            [many.integers(b, size=c) for b, c in blocks] + [np.zeros(0, dtype=np.int64)]
+        )
+        message = (
+            "bee's draw block relies on rng.integers(array of bounds) giving the values"
+            " and generator state of consecutive scalar-bound calls"
+        )
+        assert got.dtype == expected.dtype, message
+        assert np.array_equal(got, expected), message
+        assert one.bit_generator.state == many.bit_generator.state, message
 
 
 def test_iwd_matches_vector_drop_loop(monkeypatch):
