@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         default=1,
-        help="worker threads (default 1); they share the GIL, so more than 1"
-        " is usually slower",
+        help="worker threads (default 1), capped at the core count; they share"
+        " the GIL, so more than 1 is usually slower",
     )
 
     sub.add_parser("list-algorithms", help="print the available algorithms")
@@ -91,9 +91,6 @@ def main(argv=None) -> int:
     try:
         table = run_experiment(config, parallel=args.parallel)
         out = emit_report(table, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -45,8 +45,8 @@ class DatasetSpec:
     def __post_init__(self) -> None:
         if self.n_train_per_client < 1 or self.n_test < 1 or self.n_features < 1:
             raise ValueError("dataset counts must be >= 1")
-        if not self.class_separation > 0:
-            raise ValueError("class_separation must be > 0")
+        if not 0 < self.class_separation < math.inf:
+            raise ValueError("class_separation must be > 0 and finite")
         if self.n_classes != 2:
             raise ValueError("only the two-class task is supported")
 
@@ -61,8 +61,8 @@ class PartitionSpec:
     def __post_init__(self) -> None:
         if self.mode not in ("iid", "dirichlet"):
             raise ConfigError(f"partition mode must be iid or dirichlet, got {self.mode!r}")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be > 0 and finite")
 
 
 @dataclass(frozen=True)
@@ -175,8 +175,8 @@ def dirichlet_partition(
     alpha: float, n_clients: int, n_classes: int, rng: np.random.Generator
 ) -> list:
     """Per-client class-proportion vectors drawn from a symmetric Dirichlet."""
-    if not alpha > 0:
-        raise ValueError("alpha must be > 0")
+    if not 0 < alpha < math.inf:
+        raise ValueError("alpha must be > 0 and finite")
     if n_clients < 1:
         raise ValueError("n_clients must be >= 1")
     if n_classes < 2:

@@ -12,10 +12,11 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
 from .datagen import (
@@ -41,6 +42,7 @@ __all__ = [
     "enumerate_configurations",
     "load_config",
     "run_experiment",
+    "run_session_task",
     "emit_report",
 ]
 
@@ -168,64 +170,30 @@ class ExperimentConfig:
 
 def enumerate_configurations(config: ExperimentConfig) -> list:
     """The deterministic, ordered list of scenario cells for a config."""
-    iid = PartitionSpec(mode="iid")
-    cells = []
-    if config.experiment == "fixed":
-        counts = config.client_counts or _DEFAULT_CLIENTS["fixed"]
-        epoch_grid = (config.epochs,) if config.epochs else _FIXED_EPOCH_GRID
-        for n in counts:
-            for epochs in epoch_grid:
-                cells.append(
-                    Configuration(
-                        label=f"clients={n},epochs={epochs}",
-                        schedule=ParticipationSchedule("fixed", n, n, epochs),
-                        partition=config.partition or iid,
-                        noise=NoiseSpec(0.0),
-                    )
-                )
-    elif config.experiment == "dynamic":
+    experiment = config.experiment
+    partition = config.partition or PartitionSpec(
+        mode="dirichlet" if experiment == "noniid" else "iid"
+    )
+
+    def cell(label, start, end, epochs, kind="fixed", level=0.0):
+        schedule = ParticipationSchedule(kind, start, end, epochs)
+        return Configuration(label, schedule, partition, NoiseSpec(level))
+
+    if experiment == "dynamic":
         epochs = config.epochs or _DEFAULT_EPOCHS["dynamic"]
         lo, hi = _DYNAMIC_BOUNDS
-        kinds = (
-            (config.schedule_kind,)
-            if config.schedule_kind
-            else ("increasing", "decreasing")
-        )
-        for kind in kinds:
-            start, end = (lo, hi) if kind == "increasing" else (hi, lo)
-            cells.append(
-                Configuration(
-                    label=f"schedule={kind}",
-                    schedule=ParticipationSchedule(kind, start, end, epochs),
-                    partition=config.partition or iid,
-                    noise=NoiseSpec(0.0),
-                )
-            )
-    elif config.experiment == "noniid":
-        counts = config.client_counts or _DEFAULT_CLIENTS["noniid"]
-        epochs = config.epochs or _DEFAULT_EPOCHS["noniid"]
-        for n in counts:
-            cells.append(
-                Configuration(
-                    label=f"clients={n}",
-                    schedule=ParticipationSchedule("fixed", n, n, epochs),
-                    partition=config.partition or PartitionSpec(mode="dirichlet"),
-                    noise=NoiseSpec(0.0),
-                )
-            )
-    else:  # noise
-        (n,) = config.client_counts or _DEFAULT_CLIENTS["noise"]
-        epochs = config.epochs or _DEFAULT_EPOCHS["noise"]
-        for level in config.noise_levels:
-            cells.append(
-                Configuration(
-                    label=f"noise={level:.2f}",
-                    schedule=ParticipationSchedule("fixed", n, n, epochs),
-                    partition=config.partition or iid,
-                    noise=NoiseSpec(level),
-                )
-            )
-    return cells
+        bounds = {"increasing": (lo, hi), "decreasing": (hi, lo)}
+        kinds = (config.schedule_kind,) if config.schedule_kind else tuple(bounds)
+        return [cell(f"schedule={k}", *bounds[k], epochs, k) for k in kinds]
+    counts = config.client_counts or _DEFAULT_CLIENTS[experiment]
+    if experiment == "fixed":
+        grid = (config.epochs,) if config.epochs else _FIXED_EPOCH_GRID
+        return [cell(f"clients={n},epochs={e}", n, n, e) for n in counts for e in grid]
+    epochs = config.epochs or _DEFAULT_EPOCHS[experiment]
+    if experiment == "noniid":
+        return [cell(f"clients={n}", n, n, epochs) for n in counts]
+    (n,) = counts
+    return [cell(f"noise={x:.2f}", n, n, epochs, level=x) for x in config.noise_levels]
 
 
 def session_config(
@@ -295,94 +263,72 @@ def aggregate_runs(per_run_metrics) -> tuple:
     return mean, sd
 
 
-def _ordered_algorithms(config: ExperimentConfig) -> list:
-    requested = set(config.algorithms)
-    return [name for name in ALGORITHM_NAMES if name in requested]
+def run_session_task(task) -> list:
+    """Run one grid session; ``task`` is ``(algorithm, label, run, seed, SessionConfig)``.
+
+    Module-level, so a task and this function can be pickled.
+    """
+    algorithm, label, run, seed, session = task
+    try:
+        return run_session(session, seed)
+    except Exception as exc:
+        raise RuntimeError(
+            f"session failed: algorithm={algorithm} "
+            f"configuration={label!r} run={run} seed={seed}"
+        ) from exc
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
     """Execute the whole grid and aggregate final-epoch metrics per cell.
 
-    Results are keyed by (algorithm, configuration, run) before aggregation,
-    so sequential and parallel execution produce identical tables.
+    The sessions form one list in report order: algorithms in canonical
+    order, then cells, then runs.  Results come back in that order, whether
+    run in sequence or on ``min(parallel, os.cpu_count())`` worker threads,
+    so each row aggregates one consecutive slice of ``config.runs`` traces
+    and the table does not depend on the worker count.
     """
     cells = enumerate_configurations(config)
-    algorithms = _ordered_algorithms(config)
-
-    tasks = []
-    for algorithm in algorithms:
-        for cfg_index, cell in enumerate(cells):
-            for run in range(config.runs):
-                seed = hash64(
-                    config.base_seed, ALGORITHM_INDEX[algorithm], cfg_index, run
-                )
-                tasks.append((algorithm, cfg_index, run, seed))
-
-    def execute(task):
-        algorithm, cfg_index, run, seed = task
-        cell = cells[cfg_index]
-        try:
-            records = run_session(session_config(config, cell, algorithm), seed)
-        except Exception as exc:
-            raise RuntimeError(
-                f"session failed: algorithm={algorithm} "
-                f"configuration={cell.label!r} run={run} seed={seed}"
-            ) from exc
-        return (algorithm, cfg_index, run), (seed, records)
-
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            results = dict(pool.map(execute, tasks))
+    tasks = [
+        (
+            algorithm,
+            cell.label,
+            run,
+            hash64(config.base_seed, ALGORITHM_INDEX[algorithm], cfg_index, run),
+            session_config(config, cell, algorithm),
+        )
+        for algorithm in sorted(config.algorithms, key=ALGORITHM_INDEX.__getitem__)
+        for cfg_index, cell in enumerate(cells)
+        for run in range(config.runs)
+    ]
+    workers = min(parallel, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_session_task, tasks))
     else:
-        results = dict(map(execute, tasks))
+        results = list(map(run_session_task, tasks))
 
-    traces = []
+    traces = tuple(
+        RunTrace(algorithm, label, run, seed, tuple(records))
+        for (algorithm, label, run, seed, _), records in zip(tasks, results)
+    )
     rows = []
-    for algorithm in algorithms:
-        for cfg_index, cell in enumerate(cells):
-            finals = []
-            for run in range(config.runs):
-                seed, records = results[(algorithm, cfg_index, run)]
-                traces.append(
-                    RunTrace(
-                        algorithm=algorithm,
-                        configuration=cell.label,
-                        run=run,
-                        seed=seed,
-                        records=tuple(records),
-                    )
-                )
-                finals.append(records[-1].metrics)
-            mean, sd = aggregate_runs(finals)
-            rows.append(
-                ReportRow(
-                    algorithm=algorithm,
-                    configuration=cell.label,
-                    accuracy=mean.accuracy,
-                    recall=mean.recall,
-                    f1=mean.f1,
-                    accuracy_sd=sd.accuracy,
-                    recall_sd=sd.recall,
-                    f1_sd=sd.f1,
-                )
+    for start in range(0, len(traces), config.runs):
+        cell_traces = traces[start : start + config.runs]
+        mean, sd = aggregate_runs(t.records[-1].metrics for t in cell_traces)
+        rows.append(
+            ReportRow(
+                cell_traces[0].algorithm,
+                cell_traces[0].configuration,
+                *astuple(mean),
+                *astuple(sd),
             )
-    return ReportTable(rows=tuple(rows), traces=tuple(traces), config=config)
+        )
+    return ReportTable(rows=tuple(rows), traces=traces, config=config)
 
 
 def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
 
-
-SUMMARY_HEADER = [
-    "algorithm",
-    "configuration",
-    "accuracy",
-    "recall",
-    "f1",
-    "accuracy_sd",
-    "recall_sd",
-    "f1_sd",
-]
 
 ROUNDS_HEADER = ["epoch", "available", "selected_count", "accuracy", "recall", "f1"]
 
@@ -395,44 +341,28 @@ def emit_report(table: ReportTable, out_dir) -> Path:
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-
-    with open(out / "summary.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SUMMARY_HEADER)
-        for row in sorted(table.rows, key=lambda r: (r.algorithm, r.configuration)):
-            writer.writerow(
-                [row.algorithm, row.configuration]
-                + [
-                    f"{value:.6f}"
-                    for value in (
-                        row.accuracy,
-                        row.recall,
-                        row.f1,
-                        row.accuracy_sd,
-                        row.recall_sd,
-                        row.f1_sd,
-                    )
-                ]
-            )
+    _write_csv(
+        out / "summary.csv",
+        [f.name for f in fields(ReportRow)],
+        (
+            [row.algorithm, row.configuration] + [f"{v:.6f}" for v in astuple(row)[2:]]
+            for row in sorted(table.rows, key=lambda r: (r.algorithm, r.configuration))
+        ),
+    )
 
     rounds_dir = out / "rounds"
     rounds_dir.mkdir(exist_ok=True)
     for trace in table.traces:
         name = f"{trace.algorithm}__{_slug(trace.configuration)}__run{trace.run:02d}.csv"
-        with open(rounds_dir / name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(ROUNDS_HEADER)
-            for record in trace.records:
-                writer.writerow(
-                    [
-                        record.epoch,
-                        record.available,
-                        len(record.selected),
-                        f"{record.metrics.accuracy:.6f}",
-                        f"{record.metrics.recall:.6f}",
-                        f"{record.metrics.f1:.6f}",
-                    ]
-                )
+        _write_csv(
+            rounds_dir / name,
+            ROUNDS_HEADER,
+            (
+                [r.epoch, r.available, len(r.selected)]
+                + [f"{v:.6f}" for v in astuple(r.metrics)]
+                for r in trace.records
+            ),
+        )
 
     from . import __version__
 
@@ -454,6 +384,13 @@ def emit_report(table: ReportTable, out_dir) -> Path:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return out
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _config_dict(config: ExperimentConfig) -> dict:

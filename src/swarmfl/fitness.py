@@ -74,8 +74,8 @@ class FitnessWeights:
     w3: float = 0.1
 
     def __post_init__(self) -> None:
-        if not (self.w1 >= 0 and self.w2 >= 0 and self.w3 >= 0):
-            raise ValueError("fitness weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in (self.w1, self.w2, self.w3)):
+            raise ValueError("fitness weights must be nonnegative and finite")
         if self.w1 == 0 and self.w2 == 0 and self.w3 == 0:
             raise ValueError("at least one fitness weight must be positive")
 
@@ -98,8 +98,8 @@ class SubsetObjective:
     def __post_init__(self) -> None:
         if len(self.profiles) == 0:
             raise ValueError("objective needs at least one profile")
-        if not self.coverage_bonus >= 0:
-            raise ValueError("coverage_bonus must be nonnegative")
+        if not 0 <= self.coverage_bonus < math.inf:
+            raise ValueError("coverage_bonus must be nonnegative and finite")
         if self.coverage_bonus > 0:
             dists = self.class_distributions
             if dists is None:

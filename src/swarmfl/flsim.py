@@ -79,6 +79,8 @@ class ClientState:
         if len(self.data) == 0:
             raise ValueError("client data must be nonempty")
         dist = np.asarray(self.class_distribution, dtype=float)
+        if not np.all(dist >= 0):
+            raise ValueError("class_distribution entries must be >= 0")
         if not abs(dist.sum() - 1.0) <= _SUM_TOL:
             raise ValueError("class_distribution must sum to 1")
         object.__setattr__(self, "class_distribution", dist)
@@ -324,10 +326,10 @@ class SessionConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.select_fraction <= 1.0:
             raise ValueError("select_fraction must be in (0, 1]")
-        if not self.coverage_bonus >= 0:
-            raise ValueError("coverage_bonus must be nonnegative")
-        if not self.lr > 0:
-            raise ValueError("lr must be > 0")
+        if not 0 <= self.coverage_bonus < math.inf:
+            raise ValueError("coverage_bonus must be nonnegative and finite")
+        if not 0 < self.lr < math.inf:
+            raise ValueError("lr must be > 0 and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 

@@ -241,6 +241,19 @@ def test_run_output_failure_is_exit_two(tiny_config_file, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_session_failure_is_exit_two(tiny_config_file, tmp_path, monkeypatch, capsys):
+    def run_session(session, seed):
+        raise ValueError("injected failure")
+
+    monkeypatch.setattr("swarmfl.experiments.run_session", run_session)
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(tiny_config_file), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: session failed: algorithm=gwo configuration='clients=4,epochs=2' run=0" in err
+    assert not (out / "summary.csv").exists()
+
+
 def test_run_parallel_matches_sequential(tiny_config_file, tmp_path, capsys):
     seq = tmp_path / "seq"
     par = tmp_path / "par"

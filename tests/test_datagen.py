@@ -275,6 +275,20 @@ def test_partition_spec_rejects_nan(mode):
         dirichlet_partition(math.nan, 3, 2, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("separation", [math.inf, -math.inf])
+def test_dataset_spec_rejects_infinity(separation):
+    with pytest.raises(ValueError, match="finite"):
+        DatasetSpec(class_separation=separation)
+
+
+@pytest.mark.parametrize("mode", ["iid", "dirichlet"])
+def test_partition_spec_rejects_infinity(mode):
+    with pytest.raises(ValueError, match="finite"):
+        PartitionSpec(mode=mode, alpha=math.inf)
+    with pytest.raises(ValueError, match="finite"):
+        dirichlet_partition(math.inf, 2, 2, np.random.default_rng(0))
+
+
 def test_partition_spec_validation():
     with pytest.raises(ConfigError):
         PartitionSpec(mode="zipf")

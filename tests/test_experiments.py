@@ -1,8 +1,10 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
+from swarmfl import experiments
 from swarmfl.datagen import DatasetSpec, PartitionSpec
 from swarmfl.errors import ConfigError
 from swarmfl.experiments import (
@@ -15,7 +17,9 @@ from swarmfl.experiments import (
     load_config,
     parse_config,
     run_experiment,
+    run_session_task,
     override,
+    session_config,
 )
 from swarmfl.flsim import GlobalMetrics
 from swarmfl.swarm import ALGORITHM_NAMES
@@ -205,6 +209,63 @@ def test_run_experiment_shape_and_determinism():
 def test_run_experiment_parallel_matches_sequential():
     config = tiny_config(algorithms=("gwo", "pso"))
     assert run_experiment(config, parallel=4) == run_experiment(config, parallel=1)
+
+
+@pytest.mark.parametrize("cores, widths", [(3, [3]), (1, []), (None, [])])
+def test_run_experiment_caps_workers_at_core_count(cores, widths, monkeypatch):
+    config = tiny_config(algorithms=("gwo", "pso"))
+    sequential = run_experiment(config)
+    seen = []
+
+    class InlinePool:
+        """Records the pool width and maps in sequence: no thread starts."""
+
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
+    assert run_experiment(config, parallel=10**6) == sequential
+    assert seen == widths
+
+
+def test_run_experiment_names_the_failed_session(monkeypatch):
+    config = tiny_config(algorithms=("gwo", "pso"))
+    seed = hash64(0, ALGORITHM_INDEX["pso"], 0, 1)
+    real = experiments.run_session
+
+    def run_session(session, session_seed):
+        if session_seed == seed:
+            raise ValueError("injected failure")
+        return real(session, session_seed)
+
+    monkeypatch.setattr(experiments, "run_session", run_session)
+    expected = (
+        r"^session failed: algorithm=pso configuration='clients=4,epochs=2' "
+        rf"run=1 seed={seed}$"
+    )
+    with pytest.raises(RuntimeError, match=expected) as info:
+        run_experiment(config)
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+def test_run_session_task_survives_pickle():
+    config = tiny_config()
+    cell = enumerate_configurations(config)[0]
+    seed = hash64(0, ALGORITHM_INDEX["gwo"], 0, 0)
+    task = ("gwo", cell.label, 0, seed, session_config(config, cell, "gwo"))
+    function, copy = pickle.loads(pickle.dumps((run_session_task, task)))
+    assert copy == task
+    assert tuple(function(copy)) == run_experiment(config).traces[0].records
 
 
 def test_run_experiment_rows_stable_under_ablation():

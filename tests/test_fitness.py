@@ -149,6 +149,15 @@ def test_weights_reject_nan(index):
         FitnessWeights(*weights)
 
 
+@pytest.mark.parametrize("index", [0, 1, 2])
+@pytest.mark.parametrize("value", [math.inf, -math.inf])
+def test_weights_reject_infinity(index, value):
+    weights = [1.0, 1.0, 0.1]
+    weights[index] = value
+    with pytest.raises(ValueError, match="finite"):
+        FitnessWeights(*weights)
+
+
 def test_weights_validation():
     with pytest.raises(ValueError):
         FitnessWeights(-1.0, 1.0, 1.0)
@@ -188,6 +197,12 @@ def test_objective_validation():
 def test_objective_rejects_nan(bonus, dists):
     with pytest.raises(ValueError):
         SubsetObjective(profiles=[profile()], coverage_bonus=bonus, class_distributions=dists)
+
+
+@pytest.mark.parametrize("dists", [None, [(0.5, 0.5)]], ids=["no-mixes", "with-mixes"])
+def test_objective_rejects_infinite_bonus(dists):
+    with pytest.raises(ValueError, match="finite"):
+        SubsetObjective(profiles=[profile()], coverage_bonus=math.inf, class_distributions=dists)
 
 
 # --- subset_objective --------------------------------------------------------

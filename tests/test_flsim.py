@@ -82,6 +82,13 @@ def test_client_state_rejects_nan_distribution(dist):
         ClientState(profile=profile, data=random_dataset(5, 2, 1), class_distribution=np.array(dist))
 
 
+@pytest.mark.parametrize("dist", [[-0.5, 1.5], [1.5, -0.5]])
+def test_client_state_rejects_negative_share(dist):
+    profile = sample_client_profiles(1, NoiseSpec(0.0), np.random.default_rng(0))[0]
+    with pytest.raises(ValueError, match=">= 0"):
+        ClientState(profile=profile, data=random_dataset(5, 2, 1), class_distribution=np.array(dist))
+
+
 def test_global_metrics_validation():
     with pytest.raises(ValueError):
         GlobalMetrics(accuracy=1.1, recall=0.5, f1=0.5)
@@ -587,6 +594,13 @@ def test_session_config_rejects_nan(field):
     sched = ParticipationSchedule("fixed", 5, 5, 2)
     with pytest.raises(ValueError):
         SessionConfig(schedule=sched, **{field: np.nan})
+
+
+@pytest.mark.parametrize("field", ["coverage_bonus", "lr"])
+def test_session_config_rejects_infinity(field):
+    sched = ParticipationSchedule("fixed", 5, 5, 2)
+    with pytest.raises(ValueError, match="finite"):
+        SessionConfig(schedule=sched, **{field: np.inf})
 
 
 def test_training_rejects_nan_lr():
