@@ -10,6 +10,7 @@ import sys
 
 from .errors import ConfigError
 from .experiments import (
+    check_out_dir,
     enumerate_configurations,
     emit_report,
     load_config,
@@ -59,34 +60,30 @@ def main(argv=None) -> int:
             print(name)
         return 0
 
+    try:
+        config = load_config(args.config)
+        if args.command == "run":
+            algorithms = (
+                tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
+                if args.algorithms is not None
+                else None
+            )
+            config = override(
+                config, base_seed=args.seed, runs=args.runs, algorithms=algorithms
+            )
+            if args.parallel < 1:
+                raise ConfigError("--parallel must be >= 1")
+            check_out_dir(args.out)
+    except (ConfigError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 1
+
     if args.command == "validate":
-        try:
-            config = load_config(args.config)
-            cells = enumerate_configurations(config)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 1
+        cells = enumerate_configurations(config)
         print(f"ok: {config.experiment} experiment, {len(cells)} configurations")
         for cell in cells:
             print(f"  {cell.label}")
         return 0
-
-    # run
-    try:
-        config = load_config(args.config)
-        algorithms = (
-            tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-            if args.algorithms is not None
-            else None
-        )
-        config = override(
-            config, base_seed=args.seed, runs=args.runs, algorithms=algorithms
-        )
-        if args.parallel < 1:
-            raise ConfigError("--parallel must be >= 1")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
 
     try:
         table = run_experiment(config, parallel=args.parallel)

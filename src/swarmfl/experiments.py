@@ -38,6 +38,7 @@ __all__ = [
     "ReportTable",
     "RunTrace",
     "aggregate_runs",
+    "check_out_dir",
     "hash64",
     "enumerate_configurations",
     "load_config",
@@ -86,12 +87,10 @@ def hash64(*values: int) -> int:
 
 @dataclass(frozen=True)
 class Configuration:
-    """One fully resolved scenario cell within an experiment grid."""
+    """One scenario cell of an experiment grid and the session it runs."""
 
     label: str
-    schedule: ParticipationSchedule
-    partition: PartitionSpec
-    noise: NoiseSpec
+    session: SessionConfig
 
 
 @dataclass(frozen=True)
@@ -106,12 +105,12 @@ class ExperimentConfig:
     runs: int = 30
     base_seed: int = 0
     weights: FitnessWeights = field(default_factory=FitnessWeights)
-    select_fraction: float = 0.4
-    coverage_bonus: float = 0.0
-    lr: float = 0.1
-    batch_size: int = 32
-    population: int = 20
-    iterations: int = 100
+    select_fraction: float = SessionConfig.select_fraction
+    coverage_bonus: float = SessionConfig.coverage_bonus
+    lr: float = SessionConfig.lr
+    batch_size: int = SessionConfig.batch_size
+    population: int = OptimizerParams.population
+    iterations: int = OptimizerParams.iterations
     dataset: DatasetSpec = field(default_factory=DatasetSpec)
 
     def __post_init__(self) -> None:
@@ -153,12 +152,9 @@ class ExperimentConfig:
                 raise ConfigError("noise experiments use a single client count")
         if self.experiment == "noise" and not self.noise_levels:
             raise ConfigError("noise_levels must be nonempty")
-        # Every other range is checked by the specs a session is built from;
-        # none depends on the algorithm, so one algorithm checks them all.
+        # Every other range is checked by the specs each cell's session is built from.
         try:
             cells = enumerate_configurations(self)
-            for cell in cells:
-                session_config(self, cell, self.algorithms[0])
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         # A label names a cell's summary rows and trace files.
@@ -169,15 +165,29 @@ class ExperimentConfig:
 
 
 def enumerate_configurations(config: ExperimentConfig) -> list:
-    """The deterministic, ordered list of scenario cells for a config."""
+    """The deterministic, ordered list of scenario cells for a config.
+
+    Each cell carries its complete ``SessionConfig``, built once here from the
+    config's shared settings and running the grid's first algorithm;
+    ``run_experiment`` swaps in each task's own.  A setting out of range
+    raises the ``ValueError`` of the spec that holds it.
+    """
     experiment = config.experiment
-    partition = config.partition or PartitionSpec(
-        mode="dirichlet" if experiment == "noniid" else "iid"
+    shared = dict(
+        dataset=config.dataset,
+        partition=config.partition
+        or PartitionSpec(mode="dirichlet" if experiment == "noniid" else "iid"),
+        optimizer=OptimizerParams(config.algorithms[0], config.population, config.iterations),
+        weights=config.weights,
+        select_fraction=config.select_fraction,
+        coverage_bonus=config.coverage_bonus,
+        lr=config.lr,
+        batch_size=config.batch_size,
     )
 
     def cell(label, start, end, epochs, kind="fixed", level=0.0):
         schedule = ParticipationSchedule(kind, start, end, epochs)
-        return Configuration(label, schedule, partition, NoiseSpec(level))
+        return Configuration(label, SessionConfig(schedule, noise=NoiseSpec(level), **shared))
 
     if experiment == "dynamic":
         epochs = config.epochs or _DEFAULT_EPOCHS["dynamic"]
@@ -194,27 +204,6 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
         return [cell(f"clients={n}", n, n, epochs) for n in counts]
     (n,) = counts
     return [cell(f"noise={x:.2f}", n, n, epochs, level=x) for x in config.noise_levels]
-
-
-def session_config(
-    config: ExperimentConfig, cell: Configuration, algorithm: str
-) -> SessionConfig:
-    return SessionConfig(
-        schedule=cell.schedule,
-        dataset=config.dataset,
-        partition=cell.partition,
-        noise=cell.noise,
-        optimizer=OptimizerParams(
-            algorithm=algorithm,
-            population=config.population,
-            iterations=config.iterations,
-        ),
-        weights=config.weights,
-        select_fraction=config.select_fraction,
-        coverage_bonus=config.coverage_bonus,
-        lr=config.lr,
-        batch_size=config.batch_size,
-    )
 
 
 @dataclass(frozen=True)
@@ -247,20 +236,12 @@ class ReportTable:
 
 def aggregate_runs(per_run_metrics) -> tuple:
     """Mean and population standard deviation of each metric across runs."""
-    metrics = list(per_run_metrics)
-    if not metrics:
+    columns = list(zip(*map(astuple, per_run_metrics)))
+    if not columns:
         raise ValueError("aggregate_runs needs at least one run")
-    mean = GlobalMetrics(
-        accuracy=statistics.mean(m.accuracy for m in metrics),
-        recall=statistics.mean(m.recall for m in metrics),
-        f1=statistics.mean(m.f1 for m in metrics),
+    return tuple(
+        GlobalMetrics(*map(stat, columns)) for stat in (statistics.mean, statistics.pstdev)
     )
-    sd = GlobalMetrics(
-        accuracy=statistics.pstdev(m.accuracy for m in metrics),
-        recall=statistics.pstdev(m.recall for m in metrics),
-        f1=statistics.pstdev(m.f1 for m in metrics),
-    )
-    return mean, sd
 
 
 def run_session_task(task) -> list:
@@ -282,7 +263,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
     """Execute the whole grid and aggregate final-epoch metrics per cell.
 
     The sessions form one list in report order: algorithms in canonical
-    order, then cells, then runs.  Results come back in that order, whether
+    order, then cells, then runs.  Each task runs its cell's session with its
+    own algorithm swapped in.  Results come back in that order, whether
     run in sequence or on ``min(parallel, os.cpu_count())`` worker threads,
     so each row aggregates one consecutive slice of ``config.runs`` traces
     and the table does not depend on the worker count.
@@ -294,7 +276,10 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
             cell.label,
             run,
             hash64(config.base_seed, ALGORITHM_INDEX[algorithm], cfg_index, run),
-            session_config(config, cell, algorithm),
+            replace(
+                cell.session,
+                optimizer=replace(cell.session.optimizer, algorithm=algorithm),
+            ),
         )
         for algorithm in sorted(config.algorithms, key=ALGORITHM_INDEX.__getitem__)
         for cfg_index, cell in enumerate(cells)
@@ -330,16 +315,31 @@ def _slug(text: str) -> str:
     return re.sub(r"[^a-z0-9]+", "-", text.lower()).strip("-")
 
 
-ROUNDS_HEADER = ["epoch", "available", "selected_count", "accuracy", "recall", "f1"]
+ROUNDS_HEADER = [
+    "epoch", "available", "selected_count", *(f.name for f in fields(GlobalMetrics))
+]
+
+
+def check_out_dir(out_dir) -> Path:
+    """``out_dir`` as a Path, if it is absent or an empty directory.
+
+    A report written over an older one would leave that one's round files
+    beside it, so anything else raises ``FileExistsError``.
+    """
+    out = Path(out_dir)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise FileExistsError(f"output path exists and is not an empty directory: {out}")
+    return out
 
 
 def emit_report(table: ReportTable, out_dir) -> Path:
     """Write summary.csv, per-run round traces, and a manifest; returns out_dir.
 
     All numbers are fixed to six decimals and rows are fully sorted, so two
-    runs of the same config produce byte-identical files.
+    runs of the same config produce byte-identical files.  ``out_dir`` must
+    be absent or empty (``check_out_dir``); nothing is written otherwise.
     """
-    out = Path(out_dir)
+    out = check_out_dir(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(
         out / "summary.csv",
@@ -413,11 +413,16 @@ def _number(value, key):
     """A finite JSON integer or float; booleans and strings are not numbers here.
 
     ``json.load`` accepts the literals ``NaN``, ``Infinity`` and
-    ``-Infinity``; they are rejected here, before any range check sees them.
+    ``-Infinity``, and integers too large for any float; they are rejected
+    here, before any range check sees them.  An integer stays an integer.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
-    if isinstance(value, float) and not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer that no float can hold
+        finite = False
+    if not finite:
         raise ConfigError(f"{key} must be a finite number, got {value!r}")
     return value
 

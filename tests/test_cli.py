@@ -110,7 +110,9 @@ def test_validate_repeated_algorithm_is_exit_one(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "value", [float("nan"), float("inf"), float("-inf")], ids=["NaN", "Infinity", "-Infinity"]
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400],
+    ids=["NaN", "Infinity", "-Infinity", "10**400"],
 )
 @pytest.mark.parametrize(
     "entry, key",
@@ -125,7 +127,8 @@ def test_validate_repeated_algorithm_is_exit_one(tmp_path, capsys):
 def test_non_finite_config_number_is_exit_one(
     entry, key, value, tiny_config_file, tmp_path, capsys
 ):
-    # json.load accepts the NaN, Infinity and -Infinity literals json.dumps writes.
+    # json.load accepts the NaN, Infinity and -Infinity literals json.dumps writes,
+    # and integers that no float can hold.
     config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
     config.update(entry(value))
     tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
@@ -223,6 +226,46 @@ def test_run_rejects_bad_parallel(tiny_config_file, tmp_path, capsys):
     )
     assert code == 1
     assert "config error: --parallel must be >= 1" in capsys.readouterr().err
+
+
+def test_run_rejects_seed_outside_uint64(tiny_config_file, tmp_path, capsys):
+    out_dir = tmp_path / "x"
+    args = ["run", "--config", str(tiny_config_file), "--out", str(out_dir)]
+    assert main(args + ["--seed", str(2**64)]) == 1
+    assert (
+        capsys.readouterr().err
+        == "config error: base_seed must be an unsigned 64-bit integer\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_run_refuses_a_used_out_dir(tiny_config_file, tmp_path, monkeypatch, capsys):
+    # A rerun into the same --out would leave the first run's round files behind.
+    out_dir = tmp_path / "out"
+    args = ["run", "--config", str(tiny_config_file), "--out", str(out_dir)]
+    assert main(args) == 0
+    before = {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()}
+    capsys.readouterr()
+
+    def run_experiment(*args, **kwargs):
+        raise AssertionError("no session may run")
+
+    monkeypatch.setattr("swarmfl.cli.run_experiment", run_experiment)
+    assert main(args + ["--runs", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: output path exists and is not an empty directory: {out_dir}\n"
+    )
+    assert captured.out == ""
+    assert {p: p.read_bytes() for p in out_dir.rglob("*") if p.is_file()} == before
+
+
+def test_run_accepts_an_empty_out_dir(tiny_config_file, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    assert (out_dir / "summary.csv").is_file()
 
 
 def test_run_missing_config_file(tmp_path, capsys):

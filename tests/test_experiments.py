@@ -19,7 +19,6 @@ from swarmfl.experiments import (
     run_experiment,
     run_session_task,
     override,
-    session_config,
 )
 from swarmfl.flsim import GlobalMetrics
 from swarmfl.swarm import ALGORITHM_NAMES
@@ -109,34 +108,34 @@ def test_fixed_experiment_default_grid():
         "clients=25,epochs=15",
     ]
     for cell in cells:
-        assert cell.schedule.kind == "fixed"
-        assert cell.partition.mode == "iid"
-        assert cell.noise.level == 0.0
+        assert cell.session.schedule.kind == "fixed"
+        assert cell.session.partition.mode == "iid"
+        assert cell.session.noise.level == 0.0
 
 
 def test_dynamic_experiment_default_grid():
     cells = enumerate_configurations(ExperimentConfig(experiment="dynamic"))
     assert [c.label for c in cells] == ["schedule=increasing", "schedule=decreasing"]
-    up, down = cells
-    assert (up.schedule.start, up.schedule.end, up.schedule.epochs) == (5, 25, 20)
-    assert (down.schedule.start, down.schedule.end, down.schedule.epochs) == (25, 5, 20)
+    up, down = (cell.session.schedule for cell in cells)
+    assert (up.start, up.end, up.epochs) == (5, 25, 20)
+    assert (down.start, down.end, down.epochs) == (25, 5, 20)
 
 
 def test_noniid_experiment_default_grid():
     cells = enumerate_configurations(ExperimentConfig(experiment="noniid"))
     assert [c.label for c in cells] == ["clients=5", "clients=15", "clients=25"]
     for cell in cells:
-        assert cell.partition.mode == "dirichlet"
-        assert cell.schedule.epochs == 10
+        assert cell.session.partition.mode == "dirichlet"
+        assert cell.session.schedule.epochs == 10
 
 
 def test_noise_experiment_default_grid():
     cells = enumerate_configurations(ExperimentConfig(experiment="noise"))
     assert [c.label for c in cells] == ["noise=0.25", "noise=0.50"]
     for cell in cells:
-        assert cell.schedule.start == 25
-        assert cell.schedule.epochs == 10
-    assert [c.noise.level for c in cells] == [0.25, 0.5]
+        assert cell.session.schedule.start == 25
+        assert cell.session.schedule.epochs == 10
+    assert [c.session.noise.level for c in cells] == [0.25, 0.5]
 
 
 def test_experiment_config_validation():
@@ -164,6 +163,11 @@ def test_experiment_config_validation():
         ExperimentConfig(experiment="noise", noise_levels=())
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="fixed", client_counts=(1,))
+    with pytest.raises(ConfigError, match="client_counts must be nonempty"):
+        ExperimentConfig(experiment="fixed", client_counts=())
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="base_seed must be an unsigned 64-bit integer"):
+            ExperimentConfig(experiment="fixed", base_seed=seed)
 
 
 # --- aggregation -------------------------------------------------------------------
@@ -262,7 +266,7 @@ def test_run_session_task_survives_pickle():
     config = tiny_config()
     cell = enumerate_configurations(config)[0]
     seed = hash64(0, ALGORITHM_INDEX["gwo"], 0, 0)
-    task = ("gwo", cell.label, 0, seed, session_config(config, cell, "gwo"))
+    task = ("gwo", cell.label, 0, seed, cell.session)
     function, copy = pickle.loads(pickle.dumps((run_session_task, task)))
     assert copy == task
     assert tuple(function(copy)) == run_experiment(config).traces[0].records
@@ -320,6 +324,22 @@ def test_emit_report_is_byte_identical_across_runs(tmp_path):
     assert [p.name for p in a_rounds] == [p.name for p in b_rounds]
     for pa, pb in zip(a_rounds, b_rounds):
         assert pa.read_bytes() == pb.read_bytes()
+
+
+@pytest.mark.parametrize("kind", ["nonempty-dir", "file"])
+def test_emit_report_refuses_a_used_out_dir(kind, tmp_path):
+    # A report written over an older one would leave its round files behind.
+    table = run_experiment(tiny_config())
+    out = tmp_path / "out"
+    if kind == "file":
+        out.write_text("old", encoding="utf-8")
+    else:
+        (out / "rounds").mkdir(parents=True)
+        (out / "rounds" / "old.csv").write_text("old", encoding="utf-8")
+    before = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*"))
+    with pytest.raises(FileExistsError, match=f"not an empty directory: {out}"):
+        emit_report(table, out)
+    assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*")) == before
 
 
 # --- config parsing -------------------------------------------------------------------------
@@ -456,6 +476,8 @@ def test_parse_config_number_keys_take_integers():
     assert config.noise_levels == (0.0, 1.0)
     assert config.weights.w1 == 2
     assert config.dataset.class_separation == 3
+    # manifest.json writes the config back, so an integer stays one.
+    assert type(config.weights.w1) is int and type(config.dataset.class_separation) is int
 
 
 def test_parse_config_turns_spec_type_errors_into_config_errors(monkeypatch):

@@ -189,6 +189,8 @@ def test_problem_validation():
         SelectionProblem(n_clients=2, k=3, objective=obj)
     with pytest.raises(ValueError):
         SelectionProblem(n_clients=3, k=1, objective=obj)
+    with pytest.raises(ValueError, match="n_clients must be positive"):
+        SelectionProblem(n_clients=0, k=1, objective=obj)
 
 
 def test_bee_neighbor_reflects_off_the_walls():
