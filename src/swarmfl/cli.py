@@ -34,7 +34,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--runs", type=int, default=None, help="override run count")
     run.add_argument(
         "--algorithms",
-        default=None,
+        type=lambda text: tuple(name.strip() for name in text.split(",") if name.strip()),
         help="comma-separated subset of algorithms to run",
     )
     run.add_argument(
@@ -63,17 +63,12 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config)
         if args.command == "run":
-            algorithms = (
-                tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
-                if args.algorithms is not None
-                else None
-            )
             config = override(
-                config, base_seed=args.seed, runs=args.runs, algorithms=algorithms
+                config, base_seed=args.seed, runs=args.runs, algorithms=args.algorithms
             )
             if args.parallel < 1:
                 raise ConfigError("--parallel must be >= 1")
-            check_out_dir(args.out)
+            out = check_out_dir(args.out)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
@@ -86,8 +81,10 @@ def main(argv=None) -> int:
         return 0
 
     try:
+        # An --out that cannot be made fails here, before any session runs.
+        out.mkdir(parents=True, exist_ok=True)
         table = run_experiment(config, parallel=args.parallel)
-        out = emit_report(table, args.out)
+        emit_report(table, out)
     except Exception as exc:  # noqa: BLE001 - boundary: map to exit code 2
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -34,7 +34,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """Shape of the synthetic detection task (two classes: 0 benign, 1 intrusion)."""
+    """Shape of the synthetic detection task (two classes: 0 benign, 1 intrusion).
+
+    ``class_separation`` is at most 20: the Bayes accuracy Phi(s/2) is
+    already 1 - 1e-23 there, so a wider gap only scales the features, and a
+    huge one overflows the model's logits.
+    """
 
     n_train_per_client: int = 200
     n_test: int = 2000
@@ -47,13 +52,19 @@ class DatasetSpec:
             raise ValueError("dataset counts must be >= 1")
         if not 0 < self.class_separation < math.inf:
             raise ValueError("class_separation must be > 0 and finite")
+        if self.class_separation > 20:
+            raise ValueError(f"class_separation must be <= 20, got {self.class_separation}")
         if self.n_classes != 2:
             raise ValueError("only the two-class task is supported")
 
 
 @dataclass(frozen=True)
 class PartitionSpec:
-    """How per-client class proportions are assigned."""
+    """How per-client class proportions are assigned.
+
+    ``alpha`` is at most 1e6: there every class share is within 1e-3 of 1/2,
+    as ``iid`` gives, and near 1e308 numpy's Dirichlet draws come out as zeros.
+    """
 
     mode: str = "iid"
     alpha: float = 0.5
@@ -63,6 +74,8 @@ class PartitionSpec:
             raise ConfigError(f"partition mode must be iid or dirichlet, got {self.mode!r}")
         if not 0 < self.alpha < math.inf:
             raise ValueError("alpha must be > 0 and finite")
+        if self.alpha > 1e6:
+            raise ValueError(f"alpha must be <= 1e6, got {self.alpha}")
 
 
 @dataclass(frozen=True)

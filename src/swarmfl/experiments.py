@@ -133,26 +133,7 @@ class ExperimentConfig:
             raise ConfigError("base_seed must be an unsigned 64-bit integer")
         if self.epochs is not None and self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.schedule_kind is not None:
-            if self.experiment != "dynamic":
-                raise ConfigError("schedule_kind only applies to dynamic experiments")
-            if self.schedule_kind not in ("increasing", "decreasing"):
-                raise ConfigError(
-                    "schedule_kind must be increasing or decreasing, "
-                    f"got {self.schedule_kind!r}"
-                )
-        if self.client_counts is not None:
-            if self.experiment == "dynamic":
-                raise ConfigError("client_counts does not apply to dynamic experiments")
-            if len(self.client_counts) == 0:
-                raise ConfigError("client_counts must be nonempty")
-            if any(c < 2 for c in self.client_counts):
-                raise ConfigError("client counts must be >= 2")
-            if self.experiment == "noise" and len(self.client_counts) != 1:
-                raise ConfigError("noise experiments use a single client count")
-        if self.experiment == "noise" and not self.noise_levels:
-            raise ConfigError("noise_levels must be nonempty")
-        # Every other range is checked by the specs each cell's session is built from.
+        # The family rules and every other range are checked while the cells are built.
         try:
             cells = enumerate_configurations(self)
         except ValueError as exc:
@@ -169,8 +150,9 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
 
     Each cell carries its complete ``SessionConfig``, built once here from the
     config's shared settings and running the grid's first algorithm;
-    ``run_experiment`` swaps in each task's own.  A setting out of range
-    raises the ``ValueError`` of the spec that holds it.
+    ``run_experiment`` swaps in each task's own.  A broken family rule
+    raises ``ConfigError`` in that family's branch, and a setting out of
+    range raises the ``ValueError`` of the spec that holds it.
     """
     experiment = config.experiment
     shared = dict(
@@ -190,18 +172,35 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
         return Configuration(label, SessionConfig(schedule, noise=NoiseSpec(level), **shared))
 
     if experiment == "dynamic":
-        epochs = config.epochs or _DEFAULT_EPOCHS["dynamic"]
         lo, hi = _DYNAMIC_BOUNDS
         bounds = {"increasing": (lo, hi), "decreasing": (hi, lo)}
+        if config.schedule_kind not in (None, *bounds):
+            raise ConfigError(
+                "schedule_kind must be increasing or decreasing, "
+                f"got {config.schedule_kind!r}"
+            )
+        if config.client_counts is not None:
+            raise ConfigError("client_counts does not apply to dynamic experiments")
+        epochs = config.epochs or _DEFAULT_EPOCHS["dynamic"]
         kinds = (config.schedule_kind,) if config.schedule_kind else tuple(bounds)
         return [cell(f"schedule={k}", *bounds[k], epochs, k) for k in kinds]
-    counts = config.client_counts or _DEFAULT_CLIENTS[experiment]
+    if config.schedule_kind is not None:
+        raise ConfigError("schedule_kind only applies to dynamic experiments")
+    counts = _DEFAULT_CLIENTS[experiment] if config.client_counts is None else config.client_counts
+    if not counts:
+        raise ConfigError("client_counts must be nonempty")
+    if any(c < 2 for c in counts):
+        raise ConfigError("client counts must be >= 2")
     if experiment == "fixed":
         grid = (config.epochs,) if config.epochs else _FIXED_EPOCH_GRID
         return [cell(f"clients={n},epochs={e}", n, n, e) for n in counts for e in grid]
     epochs = config.epochs or _DEFAULT_EPOCHS[experiment]
     if experiment == "noniid":
         return [cell(f"clients={n}", n, n, epochs) for n in counts]
+    if len(counts) != 1:
+        raise ConfigError("noise experiments use a single client count")
+    if not config.noise_levels:
+        raise ConfigError("noise_levels must be nonempty")
     (n,) = counts
     return [cell(f"noise={x:.2f}", n, n, epochs, level=x) for x in config.noise_levels]
 
@@ -449,7 +448,7 @@ def _array_of(element):
     return check
 
 
-_TOP_LEVEL_FIELDS = {
+_SCHEMA = {
     "experiment": _string,
     "algorithms": _array_of(_string),
     "client_counts": _array_of(_integer),
@@ -462,9 +461,6 @@ _TOP_LEVEL_FIELDS = {
     "coverage_bonus": _real,
     "lr": _real,
     "batch_size": _integer,
-}
-
-_SECTIONS = {
     "partition": {"mode": _string, "alpha": _number},
     "weights": {"w1": _number, "w2": _number, "w3": _number},
     "optimizer": {"population": _integer, "iterations": _integer},
@@ -477,10 +473,25 @@ _SECTIONS = {
 }
 
 
-def _check_keys(mapping: dict, allowed, prefix: str = "") -> None:
-    for key in mapping:
-        if key not in allowed:
-            raise ConfigError(f"unknown config key: {prefix}{key}")
+def _object(raw, schema: dict, key=None) -> dict:
+    """A JSON object with only ``schema``'s keys, each value checked by its rule.
+
+    A rule is a checker or a section's nested schema; ``key`` names a
+    section, ``None`` the root.  The first faulty key in file order is reported.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(
+            "config root must be a JSON object" if key is None
+            else f"config key {key} must be an object"
+        )
+    values = {}
+    for name, value in raw.items():
+        path = name if key is None else f"{key}.{name}"
+        if name not in schema:
+            raise ConfigError(f"unknown config key: {path}")
+        rule = schema[name]
+        values[name] = _object(value, rule, path) if isinstance(rule, dict) else rule(value, path)
+    return values
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -490,33 +501,15 @@ def parse_config(raw: dict) -> ExperimentConfig:
     number keys integers or floats, list keys arrays of those.  Any value
     the specs reject, by type or by range, raises ``ConfigError``.
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, _TOP_LEVEL_FIELDS.keys() | _SECTIONS.keys())
-    sections = {}
-    for section, fields in _SECTIONS.items():
-        if section in raw:
-            if not isinstance(raw[section], dict):
-                raise ConfigError(f"config key {section} must be an object")
-            _check_keys(raw[section], fields, prefix=f"{section}.")
-            sections[section] = {
-                key: fields[key](value, f"{section}.{key}")
-                for key, value in raw[section].items()
-            }
-    if "experiment" not in raw:
+    kwargs = _object(raw, _SCHEMA)
+    if "experiment" not in kwargs:
         raise ConfigError("missing required config key: experiment")
-
-    kwargs = {
-        key: check(raw[key], key) for key, check in _TOP_LEVEL_FIELDS.items() if key in raw
-    }
-    kwargs.update(sections.get("optimizer", {}))
+    kwargs.update(kwargs.pop("optimizer", {}))
+    specs = (("partition", PartitionSpec), ("weights", FitnessWeights), ("dataset", DatasetSpec))
     try:
-        if "partition" in sections:
-            kwargs["partition"] = PartitionSpec(**sections["partition"])
-        if "weights" in sections:
-            kwargs["weights"] = FitnessWeights(**sections["weights"])
-        if "dataset" in sections:
-            kwargs["dataset"] = DatasetSpec(**sections["dataset"])
+        for name, spec in specs:
+            if name in kwargs:
+                kwargs[name] = spec(**kwargs[name])
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
     return ExperimentConfig(**kwargs)

@@ -368,16 +368,22 @@ def build_clients(config: SessionConfig, rng: np.random.Generator):
 
 
 def run_session(config: SessionConfig, seed: int) -> list:
-    """Run a full multi-round session; returns one RoundRecord per epoch."""
-    rng = np.random.default_rng(seed)
-    clients, test = build_clients(config, rng)
-    params = ModelParams.zeros(config.dataset.n_features)
+    """Run a full multi-round session; returns one RoundRecord per epoch.
 
+    An overflow or invalid value anywhere in the session raises
+    ``FloatingPointError`` instead of a warning, so a setting that blows up
+    the arithmetic (a huge ``lr`` or fitness weight) stops the session
+    rather than scoring a broken model.
+    """
+    rng = np.random.default_rng(seed)
     records = []
-    for epoch in range(config.schedule.epochs):
-        available = participation_at(config.schedule, epoch)
-        params, record = run_round(
-            params, clients[:available], config, test, rng, epoch=epoch
-        )
-        records.append(record)
+    with np.errstate(over="raise", invalid="raise"):
+        clients, test = build_clients(config, rng)
+        params = ModelParams.zeros(config.dataset.n_features)
+        for epoch in range(config.schedule.epochs):
+            available = participation_at(config.schedule, epoch)
+            params, record = run_round(
+                params, clients[:available], config, test, rng, epoch=epoch
+            )
+            records.append(record)
     return records

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from swarmfl import experiments
 from swarmfl.cli import main
 from swarmfl.swarm import ALGORITHM_NAMES
 
@@ -282,6 +283,24 @@ def test_run_output_failure_is_exit_two(tiny_config_file, tmp_path, capsys):
     )
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_output_failure_runs_no_session(tiny_config_file, tmp_path, monkeypatch, capsys):
+    # An --out under a regular file can never be made, so no session may run first.
+    seeds = []
+    real_run_session = experiments.run_session
+
+    def run_session(session, seed):
+        seeds.append(seed)
+        return real_run_session(session, seed)
+
+    monkeypatch.setattr(experiments, "run_session", run_session)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory", encoding="utf-8")
+    args = ["run", "--config", str(tiny_config_file), "--out", str(blocker / "sub")]
+    assert main(args) == 2
+    assert seeds == []
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_run_session_failure_is_exit_two(tiny_config_file, tmp_path, monkeypatch, capsys):

@@ -257,6 +257,9 @@ def test_dataset_spec_validation():
         DatasetSpec(n_train_per_client=0)
     with pytest.raises(ValueError):
         DatasetSpec(class_separation=0.0)
+    with pytest.raises(ValueError, match="class_separation must be <= 20"):
+        DatasetSpec(class_separation=1e300)
+    assert DatasetSpec(class_separation=20).class_separation == 20
     with pytest.raises(ValueError):
         DatasetSpec(n_classes=3)
 
@@ -294,6 +297,8 @@ def test_partition_spec_validation():
         PartitionSpec(mode="zipf")
     with pytest.raises(ValueError):
         PartitionSpec(mode="dirichlet", alpha=0.0)
+    with pytest.raises(ValueError, match="alpha must be <= 1e6"):
+        PartitionSpec(mode="dirichlet", alpha=1e308)
     assert PartitionSpec().mode == "iid"
 
 

@@ -577,6 +577,23 @@ def test_run_session_is_deterministic():
     assert run_session(config, seed=29) == run_session(config, seed=29)
 
 
+@pytest.mark.parametrize("lr, separation", [(1e306, 20.0), (1e307, 2.0), (5e307, 20.0)])
+def test_run_session_overflow_raises_without_warning(lr, separation):
+    # Each of these warned (overflow or invalid value) before it stopped or scored.
+    config = SessionConfig(
+        schedule=ParticipationSchedule("fixed", 4, 4, 3),
+        dataset=DatasetSpec(n_train_per_client=20, n_test=50, n_features=3,
+                            class_separation=separation),
+        optimizer=FAST_OPT,
+        lr=lr,
+        batch_size=1,
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FloatingPointError):
+            run_session(config, seed=5)
+
+
 def test_session_config_validation():
     sched = ParticipationSchedule("fixed", 5, 5, 2)
     with pytest.raises(ValueError):

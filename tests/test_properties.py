@@ -1,0 +1,146 @@
+"""Properties over generated configs: strict parsing, and tiny grids that run clean.
+
+Runs are derandomized, with no example database and fixed example counts,
+so the suite sees the same inputs every time.
+"""
+
+import os
+import warnings
+
+import pytest
+
+import swarmfl
+from swarmfl.errors import ConfigError
+from swarmfl.experiments import EXPERIMENTS, ExperimentConfig, parse_config, run_experiment
+from swarmfl.swarm import ALGORITHM_NAMES
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+SETTINGS = dict(derandomize=True, database=None, deadline=None)
+PACKAGE = os.path.dirname(os.path.abspath(swarmfl.__file__))
+
+NUMBERS = st.integers(-(10**30), 10**30) | st.floats(allow_nan=True, allow_infinity=True)
+JSON = st.recursive(
+    st.none() | st.booleans() | NUMBERS | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def near(value):
+    """Mostly a value of the key's own type, sometimes any JSON at all."""
+    return value | JSON
+
+
+def section(**keys):
+    return st.fixed_dictionaries({}, optional={key: near(value) for key, value in keys.items()})
+
+
+# Values of roughly each key's type, so generated configs get past the type
+# checks to the range and family checks.
+KEYS = {
+    "experiment": st.sampled_from(EXPERIMENTS + ("ablation",)),
+    "algorithms": st.lists(st.sampled_from(ALGORITHM_NAMES + ("annealing",)), max_size=3),
+    "client_counts": st.lists(st.integers(-1, 30), max_size=3),
+    "epochs": st.integers(-1, 20),
+    "schedule_kind": st.sampled_from(["increasing", "decreasing", "sideways"]),
+    "noise_levels": st.lists(NUMBERS, max_size=3),
+    "runs": st.integers(-1, 3),
+    "base_seed": st.integers(-1, 2**64),
+    "select_fraction": NUMBERS,
+    "coverage_bonus": NUMBERS,
+    "lr": NUMBERS,
+    "batch_size": st.integers(-1, 64),
+    "partition": section(mode=st.sampled_from(["iid", "dirichlet", "zipf"]), alpha=NUMBERS),
+    "weights": section(w1=NUMBERS, w2=NUMBERS, w3=NUMBERS),
+    "optimizer": section(population=st.integers(-1, 30), iterations=st.integers(-1, 30)),
+    "dataset": section(
+        n_train_per_client=st.integers(-1, 300),
+        n_test=st.integers(-1, 300),
+        n_features=st.integers(-1, 20),
+        class_separation=NUMBERS,
+    ),
+}
+CONFIGS = st.builds(
+    lambda unknown, known: {**unknown, **known},
+    st.dictionaries(st.text(max_size=8), JSON, max_size=2),
+    st.fixed_dictionaries({}, optional={key: near(value) for key, value in KEYS.items()}),
+)
+
+
+@hypothesis.settings(max_examples=300, **SETTINGS)
+@hypothesis.given(CONFIGS | JSON)
+def test_parse_config_returns_a_config_or_raises_config_error(raw):
+    try:
+        config = parse_config(raw)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@st.composite
+def tiny_configs(draw):
+    """A config at tiny sizes whose real numbers range over all finite floats.
+
+    At most 6 clients, 3 epochs, population 4 and 3 iterations; only the
+    dynamic family's ramp is fixed, at 5 to 25 clients.
+    """
+    experiment = draw(st.sampled_from(EXPERIMENTS))
+    counts = st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True)
+    raw = {
+        "experiment": experiment,
+        "algorithms": draw(
+            st.lists(st.sampled_from(ALGORITHM_NAMES), min_size=1, max_size=2, unique=True)
+        ),
+        "epochs": draw(st.integers(1, 3)),
+        "runs": draw(st.integers(1, 2)),
+        "base_seed": draw(st.integers(0, 2**64 - 1)),
+        "select_fraction": draw(st.floats(0.0, 1.0, exclude_min=True)),
+        "coverage_bonus": draw(NONNEGATIVE),
+        "lr": draw(POSITIVE),
+        "batch_size": draw(st.integers(1, 40)),
+        "weights": {w: draw(NONNEGATIVE) for w in ("w1", "w2", "w3")},
+        "optimizer": {"population": draw(st.integers(2, 4)), "iterations": draw(st.integers(1, 3))},
+        "dataset": {
+            "n_train_per_client": draw(st.integers(1, 12)),
+            "n_test": draw(st.integers(1, 20)),
+            "n_features": draw(st.integers(1, 4)),
+            # DatasetSpec takes at most 20; wider values must fail validation.
+            "class_separation": draw(st.floats(0.0, 20.0, exclude_min=True) | POSITIVE),
+        },
+    }
+    if draw(st.booleans()):
+        raw["partition"] = {"mode": draw(st.sampled_from(["iid", "dirichlet"])),
+                            "alpha": draw(POSITIVE)}
+    if experiment == "dynamic":
+        if draw(st.booleans()):
+            raw["schedule_kind"] = draw(st.sampled_from(["increasing", "decreasing"]))
+    elif experiment == "noise":
+        raw["client_counts"] = [draw(st.integers(2, 6))]
+        raw["noise_levels"] = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2))
+    else:
+        raw["client_counts"] = draw(counts)
+    return raw
+
+
+@hypothesis.settings(max_examples=40, **SETTINGS)
+@hypothesis.given(tiny_configs())
+def test_a_config_that_validates_runs_without_a_warning(raw):
+    try:
+        config = parse_config(raw)
+    except ConfigError:
+        hypothesis.reject()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            run_experiment(config)
+        except RuntimeError as exc:
+            # A session may stop on a numeric blow-up, and on nothing else.
+            assert isinstance(exc.__cause__, FloatingPointError), exc
+    assert [w for w in caught if os.path.abspath(w.filename).startswith(PACKAGE)] == []

@@ -318,6 +318,19 @@ def test_batch_matches_scalar_with_coverage():
         assert value == pytest.approx(subset_objective(obj, row), abs=1e-12)
 
 
+@pytest.mark.parametrize("k", [4, 7, 8, 10, 20])
+def test_batch_matches_scalar_objective_within_the_summation_bound(k):
+    # numpy sums eight or more terms pairwise, subset_objective in sequence.
+    for seed in range(5):
+        obj = make_objective(25, seed=100 + seed)
+        batch = BatchObjective(obj, k=k, budget=200)
+        rng = np.random.default_rng(seed)
+        rows = np.array([sorted(rng.choice(25, size=k, replace=False)) for _ in range(200)])
+        for row, value in zip(rows, batch.value_rows(rows)):
+            bound = k * 2.0**-52 * np.abs(batch.fitness[row]).mean()
+            assert abs(value - subset_objective(obj, row)) <= bound
+
+
 def test_batch_counts_evaluations():
     batch = BatchObjective(make_objective(6, seed=14), k=2, budget=10)
     assert batch.evaluations == 0
