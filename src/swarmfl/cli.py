@@ -41,8 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         default=1,
-        help="worker threads (default 1), capped at the core count; they share"
-        " the GIL, so more than 1 is usually slower",
+        help="worker processes (default 1), capped at the core count",
     )
 
     sub.add_parser("list-algorithms", help="print the available algorithms")

@@ -146,12 +146,10 @@ def sample_client_profiles(
     reported = np.clip(det + shift, 0.0, 1.0)
     return [
         ClientProfile(
-            id=i,
             det_accuracy=float(det[i]),
             false_positive_rate=float(fpr[i]),
             response_time=float(rt[i]),
             reported_accuracy=float(reported[i]),
-            label_flip_rate=float(1.0 - det[i]),
         )
         for i in range(n)
     ]
@@ -218,7 +216,7 @@ def participation_at(schedule: ParticipationSchedule, epoch: int) -> int:
         raise ValueError(
             f"epoch must be in 0..{schedule.epochs - 1}, got {epoch}"
         )
-    if schedule.kind == "fixed" or schedule.start == schedule.end:
+    if schedule.start == schedule.end:
         return schedule.start
     span = schedule.end - schedule.start
     exact = schedule.start + span * epoch / (schedule.epochs - 1)

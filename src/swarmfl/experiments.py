@@ -15,7 +15,6 @@ import math
 import os
 import re
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -246,7 +245,9 @@ def aggregate_runs(per_run_metrics) -> tuple:
 def run_session_task(task) -> list:
     """Run one grid session; ``task`` is ``(algorithm, label, run, seed, SessionConfig)``.
 
-    Module-level, so a task and this function can be pickled.
+    Module-level, so a task and this function can be pickled.  A failure's
+    message ends with its cause's type and text, since a process pool does
+    not carry ``__cause__`` back to the caller.
     """
     algorithm, label, run, seed, session = task
     try:
@@ -254,7 +255,8 @@ def run_session_task(task) -> list:
     except Exception as exc:
         raise RuntimeError(
             f"session failed: algorithm={algorithm} "
-            f"configuration={label!r} run={run} seed={seed}"
+            f"configuration={label!r} run={run} seed={seed}: "
+            f"{type(exc).__name__}: {exc}"
         ) from exc
 
 
@@ -264,9 +266,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
     The sessions form one list in report order: algorithms in canonical
     order, then cells, then runs.  Each task runs its cell's session with its
     own algorithm swapped in.  Results come back in that order, whether
-    run in sequence or on ``min(parallel, os.cpu_count())`` worker threads,
-    so each row aggregates one consecutive slice of ``config.runs`` traces
-    and the table does not depend on the worker count.
+    run in sequence or on ``min(parallel, os.cpu_count())`` worker
+    processes, so each row aggregates one consecutive slice of
+    ``config.runs`` traces and the table does not depend on the worker count.
+    The pool is imported only when it is used, so a sequential run pays
+    nothing for it.
     """
     cells = enumerate_configurations(config)
     tasks = [
@@ -286,7 +290,11 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> ReportTable:
     ]
     workers = min(parallel, os.cpu_count() or 1)
     if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
             results = list(pool.map(run_session_task, tasks))
     else:
         results = list(map(run_session_task, tasks))

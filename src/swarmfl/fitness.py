@@ -27,24 +27,14 @@ _SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ClientProfile:
-    """Generated quality metrics for one simulated client.
+    """One client's drawn quality metrics; its pool index is its identity."""
 
-    ``label_flip_rate`` is the fraction of the client's local training labels
-    that are corrupted; it is tied to ``det_accuracy`` (flip rate of a client
-    with perfect detection accuracy is zero) so that low-quality clients are
-    genuinely worse to train on, not just ranked lower.
-    """
-
-    id: int
     det_accuracy: float
     false_positive_rate: float
     response_time: float
     reported_accuracy: float
-    label_flip_rate: float
 
     def __post_init__(self) -> None:
-        if self.id < 0:
-            raise ValueError(f"client id must be >= 0, got {self.id}")
         if not 0.0 <= self.det_accuracy <= 1.0:
             raise ValueError(f"det_accuracy out of [0,1]: {self.det_accuracy}")
         if not 0.0 <= self.reported_accuracy <= 1.0:
@@ -58,11 +48,16 @@ class ClientProfile:
         # Written so that NaN fails: every comparison with NaN is false.
         if not self.response_time > 0.0:
             raise ValueError(f"response_time must be > 0, got {self.response_time}")
-        if not abs(self.label_flip_rate - (1.0 - self.det_accuracy)) <= 1e-12:
-            raise ValueError(
-                "label_flip_rate must equal 1 - det_accuracy "
-                f"({self.label_flip_rate} vs {1.0 - self.det_accuracy})"
-            )
+
+    @property
+    def label_flip_rate(self) -> float:
+        """The fraction of the client's local training labels that are corrupted.
+
+        It is tied to ``det_accuracy`` (flip rate of a client with perfect
+        detection accuracy is zero) so that low-quality clients are genuinely
+        worse to train on, not just ranked lower.
+        """
+        return 1.0 - self.det_accuracy
 
 
 @dataclass(frozen=True)
@@ -124,8 +119,6 @@ def client_fitness(profile: ClientProfile, weights: FitnessWeights) -> float:
     Uses the *reported* accuracy: the selector only ever sees what clients
     claim about themselves.
     """
-    if not profile.response_time > 0:
-        raise ValueError("response_time must be positive")
     return (
         weights.w1 * profile.reported_accuracy
         - weights.w2 * profile.false_positive_rate

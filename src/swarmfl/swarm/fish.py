@@ -3,8 +3,8 @@
 Fish inside each other's visual range follow the best visible neighbor, or
 swarm toward the local center, unless the neighborhood is too crowded; lone
 or crowded fish prey by probing random points in their visual box.  A fish
-makes at most three objective calls per iteration, which keeps the whole
-algorithm within its budget factor of 3.
+makes at most ``EVAL_FACTOR`` (3) objective calls per iteration, so the
+per-fish cap is the algorithm's budget factor itself.
 
 Fish take their turns one after another, each seeing the moves before it.
 Each iteration draws every fish's probe offsets and drift pull up front, and
@@ -33,8 +33,6 @@ EVAL_FACTOR = 3
 VISUAL = 0.3
 STEP = 0.1
 CROWDING = 0.618
-
-_FISH_EVAL_CAP = 3
 
 
 def _farther(points, spots, visual):
@@ -94,11 +92,11 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
                     x[i] = fold_into_box(x[i] + STEP * pull * d / norm)
                 values[i] = evaluate(x[i])
                 return True
-        _prey(objective, x, values, probes[:, : _FISH_EVAL_CAP - used], everyone[i : i + 1])
+        _prey(objective, x, values, probes[:, : EVAL_FACTOR - used], everyone[i : i + 1])
         return False
 
     for _ in range(iterations):
-        offsets = rng.uniform(-1.0, 1.0, (population, _FISH_EVAL_CAP, n))
+        offsets = rng.uniform(-1.0, 1.0, (population, EVAL_FACTOR, n))
         pulls = rng.random(population)
         start = x.copy()
         probes = fold_into_box(start[:, None] + VISUAL * offsets)

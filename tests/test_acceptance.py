@@ -114,9 +114,9 @@ def test_acceptance_1_optimizer_exactness(exactness_instances, capsys):
 
 
 def test_acceptance_2_fitness_examples_and_monotonicity(capsys):
-    acc_only = ClientProfile(0, 0.75, 0.9, 0.2, 0.75, 0.25)
-    balanced = ClientProfile(0, 0.9, 0.1, 0.5, 0.9, 1.0 - 0.9)
-    fast = ClientProfile(0, 0.5, 0.2, 0.1, 0.5, 0.5)
+    acc_only = ClientProfile(0.75, 0.9, 0.2, 0.75)
+    balanced = ClientProfile(0.9, 0.1, 0.5, 0.9)
+    fast = ClientProfile(0.5, 0.2, 0.1, 0.5)
     examples_ok = (
         client_fitness(acc_only, FitnessWeights(1.0, 0.0, 0.0)) == 0.75
         and client_fitness(balanced, FitnessWeights(1.0, 1.0, 0.1)) == 1.0
@@ -133,7 +133,7 @@ def test_acceptance_2_fitness_examples_and_monotonicity(capsys):
         reported = rng.uniform(0.0, 1.0)
 
         def build(reported=reported, fpr=fpr, rt=rt):
-            return ClientProfile(0, det, fpr, rt, reported, 1.0 - det)
+            return ClientProfile(det, fpr, rt, reported)
 
         field = rng.integers(0, 3)
         if field == 0:

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import pickle
 
@@ -222,9 +223,10 @@ def test_run_experiment_caps_workers_at_core_count(cores, widths, monkeypatch):
     seen = []
 
     class InlinePool:
-        """Records the pool width and maps in sequence: no thread starts."""
+        """Records the pool width and maps in sequence: no process starts."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             seen.append(max_workers)
 
         def __enter__(self):
@@ -236,7 +238,7 @@ def test_run_experiment_caps_workers_at_core_count(cores, widths, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cores)
     assert run_experiment(config, parallel=10**6) == sequential
     assert seen == widths
@@ -255,11 +257,19 @@ def test_run_experiment_names_the_failed_session(monkeypatch):
     monkeypatch.setattr(experiments, "run_session", run_session)
     expected = (
         r"^session failed: algorithm=pso configuration='clients=4,epochs=2' "
-        rf"run=1 seed={seed}$"
+        rf"run=1 seed={seed}: ValueError: injected failure$"
     )
     with pytest.raises(RuntimeError, match=expected) as info:
         run_experiment(config)
     assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_a_failed_session_names_its_cause_on_every_path(parallel):
+    # A process pool does not carry __cause__ back, so the message must.
+    config = tiny_config(experiment="noise", noise_levels=(0.25,), lr=1e307, batch_size=1)
+    with pytest.raises(RuntimeError, match=r"^session failed: .*: FloatingPointError: "):
+        run_experiment(config, parallel=parallel)
 
 
 def test_run_session_task_survives_pickle():

@@ -14,26 +14,22 @@ from swarmfl.fitness import (
 )
 
 
-def profile(i=0, acc=0.8, fpr=0.1, rt=0.5, reported=None):
+def profile(acc=0.8, fpr=0.1, rt=0.5, reported=None):
     return ClientProfile(
-        id=i,
         det_accuracy=acc,
         false_positive_rate=fpr,
         response_time=rt,
         reported_accuracy=acc if reported is None else reported,
-        label_flip_rate=1.0 - acc,
     )
 
 
-def random_profile(rng, i=0):
+def random_profile(rng):
     acc = rng.uniform(0.5, 1.0)
     return ClientProfile(
-        id=i,
         det_accuracy=acc,
         false_positive_rate=rng.uniform(0.0, 0.2),
         response_time=rng.uniform(0.1, 1.0),
         reported_accuracy=rng.uniform(0.0, 1.0),
-        label_flip_rate=1.0 - acc,
     )
 
 
@@ -100,8 +96,6 @@ def test_fitness_monotone_in_each_term():
 
 def test_profile_rejects_bad_fields():
     with pytest.raises(ValueError):
-        profile(i=-1)
-    with pytest.raises(ValueError):
         profile(acc=1.2)
     with pytest.raises(ValueError):
         profile(fpr=-0.1)
@@ -109,10 +103,6 @@ def test_profile_rejects_bad_fields():
         profile(rt=0.0)
     with pytest.raises(ValueError):
         profile(reported=1.5)
-    with pytest.raises(ValueError):
-        ClientProfile(id=0, det_accuracy=0.8, false_positive_rate=0.1,
-                      response_time=0.5, reported_accuracy=0.8,
-                      label_flip_rate=0.5)
 
 
 @pytest.mark.parametrize(
@@ -122,18 +112,15 @@ def test_profile_rejects_bad_fields():
         "false_positive_rate",
         "response_time",
         "reported_accuracy",
-        "label_flip_rate",
     ],
 )
 def test_profile_rejects_nan(field):
     # Every comparison with NaN is false, so each check must fail on false.
     fields = dict(
-        id=0,
         det_accuracy=0.8,
         false_positive_rate=0.1,
         response_time=0.5,
         reported_accuracy=0.8,
-        label_flip_rate=1.0 - 0.8,
     )
     ClientProfile(**fields)
     fields[field] = math.nan
@@ -174,7 +161,7 @@ def test_objective_validation():
     with pytest.raises(ValueError):
         SubsetObjective(profiles=[profile()], coverage_bonus=1.0)
     with pytest.raises(ValueError):
-        SubsetObjective(profiles=[profile(0), profile(1)], coverage_bonus=1.0,
+        SubsetObjective(profiles=[profile(), profile()], coverage_bonus=1.0,
                         class_distributions=[(0.5, 0.5)])
     with pytest.raises(ValueError):
         SubsetObjective(profiles=[profile()], coverage_bonus=1.0,
@@ -209,15 +196,15 @@ def test_objective_rejects_infinite_bonus(dists):
 
 
 def test_subset_mean_of_two():
-    a = profile(0, acc=0.9, fpr=0.1, rt=0.5)  # fitness 1.0
-    b = profile(1, acc=0.5, fpr=0.2, rt=0.1)  # fitness 1.3
+    a = profile(acc=0.9, fpr=0.1, rt=0.5)  # fitness 1.0
+    b = profile(acc=0.5, fpr=0.2, rt=0.1)  # fitness 1.3
     obj = SubsetObjective(profiles=[a, b], weights=FitnessWeights(1.0, 1.0, 0.1))
     assert abs(subset_objective(obj, {0, 1}) - 1.15) < 1e-12
 
 
 def test_subset_singleton_equals_client_fitness():
     rng = np.random.default_rng(7)
-    profiles = [random_profile(rng, i) for i in range(5)]
+    profiles = [random_profile(rng) for _ in range(5)]
     obj = SubsetObjective(profiles=profiles)
     for i in range(5):
         assert subset_objective(obj, {i}) == pytest.approx(
@@ -226,7 +213,7 @@ def test_subset_singleton_equals_client_fitness():
 
 
 def test_subset_coverage_bonus_balanced_pair():
-    a, b = profile(0), profile(1)
+    a, b = profile(), profile()
     obj0 = SubsetObjective(profiles=[a, b])
     obj1 = SubsetObjective(
         profiles=[a, b],
@@ -239,17 +226,17 @@ def test_subset_coverage_bonus_balanced_pair():
 
 def test_subset_permutation_and_nonmember_independence():
     rng = np.random.default_rng(8)
-    profiles = [random_profile(rng, i) for i in range(6)]
+    profiles = [random_profile(rng) for _ in range(6)]
     obj = SubsetObjective(profiles=profiles)
     assert subset_objective(obj, [3, 1, 4]) == subset_objective(obj, [4, 3, 1])
     swapped = profiles.copy()
-    swapped[0], swapped[5] = random_profile(rng, 0), random_profile(rng, 5)
+    swapped[0], swapped[5] = random_profile(rng), random_profile(rng)
     obj2 = SubsetObjective(profiles=swapped)
     assert subset_objective(obj, [3, 1, 4]) == subset_objective(obj2, [3, 1, 4])
 
 
 def test_subset_errors():
-    obj = SubsetObjective(profiles=[profile(0), profile(1)])
+    obj = SubsetObjective(profiles=[profile(), profile()])
     with pytest.raises(ValueError):
         subset_objective(obj, [])
     with pytest.raises(ValueError):
@@ -265,7 +252,7 @@ def test_subset_errors():
 
 def scored_objective(scores):
     profiles = [
-        profile(i, acc=0.8, fpr=0.0, rt=1e9, reported=s) for i, s in enumerate(scores)
+        profile(acc=0.8, fpr=0.0, rt=1e9, reported=s) for s in scores
     ]
     return SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 0.0, 0.0))
 
@@ -273,9 +260,9 @@ def scored_objective(scores):
 def test_greedy_hand_case():
     # fitness values 1.0, 0.8, 1.3 under the default weights
     profiles = [
-        profile(0, acc=0.9, fpr=0.1, rt=0.5),
-        profile(1, acc=0.8, fpr=0.1, rt=1.0),
-        profile(2, acc=0.5, fpr=0.2, rt=0.1),
+        profile(acc=0.9, fpr=0.1, rt=0.5),
+        profile(acc=0.8, fpr=0.1, rt=1.0),
+        profile(acc=0.5, fpr=0.2, rt=0.1),
     ]
     obj = SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 1.0, 0.1))
     assert greedy_topk(obj, 2) == {0, 2}
@@ -291,7 +278,7 @@ def test_greedy_matches_exhaustive_search():
     rng = np.random.default_rng(11)
     for trial in range(20):
         n = int(rng.integers(4, 13))
-        profiles = [random_profile(rng, i) for i in range(n)]
+        profiles = [random_profile(rng) for _ in range(n)]
         obj = SubsetObjective(profiles=profiles)
         for k in range(1, min(4, n) + 1):
             best = max(
@@ -303,7 +290,7 @@ def test_greedy_matches_exhaustive_search():
 
 def test_greedy_invariant_under_weight_scaling():
     rng = np.random.default_rng(12)
-    profiles = [random_profile(rng, i) for i in range(10)]
+    profiles = [random_profile(rng) for _ in range(10)]
     w = FitnessWeights(1.0, 1.0, 0.1)
     scaled = FitnessWeights(3.0, 3.0, 0.3)
     a = greedy_topk(SubsetObjective(profiles=profiles, weights=w), 4)
@@ -318,7 +305,7 @@ def test_greedy_errors():
     with pytest.raises(ValueError):
         greedy_topk(obj, 3)
     rich = SubsetObjective(
-        profiles=[profile(0), profile(1)],
+        profiles=[profile(), profile()],
         coverage_bonus=0.5,
         class_distributions=[(0.5, 0.5), (0.5, 0.5)],
     )

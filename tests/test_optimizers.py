@@ -49,14 +49,12 @@ EVAL_FACTORS = {
 def scored_problem(scores, k):
     profiles = [
         ClientProfile(
-            id=i,
             det_accuracy=0.8,
             false_positive_rate=0.0,
             response_time=1e9,
             reported_accuracy=s,
-            label_flip_rate=0.2,
         )
-        for i, s in enumerate(scores)
+        for s in scores
     ]
     obj = SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 0.0, 0.0))
     return SelectionProblem(n_clients=len(scores), k=k, objective=obj)

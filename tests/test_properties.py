@@ -1,18 +1,30 @@
-"""Properties over generated configs: strict parsing, and tiny grids that run clean.
+"""Properties over generated inputs: strict parsing, tiny grids that run clean,
+the selectors' invariants, and cohort training that matches one-client training.
 
 Runs are derandomized, with no example database and fixed example counts,
 so the suite sees the same inputs every time.
 """
 
+import importlib
 import os
 import warnings
 
+import numpy as np
 import pytest
+from test_flsim import random_dataset, reference_local_train
 
 import swarmfl
 from swarmfl.errors import ConfigError
 from swarmfl.experiments import EXPERIMENTS, ExperimentConfig, parse_config, run_experiment
-from swarmfl.swarm import ALGORITHM_NAMES
+from swarmfl.fitness import (
+    ClientProfile,
+    FitnessWeights,
+    SubsetObjective,
+    client_fitness,
+    subset_objective,
+)
+from swarmfl.flsim import ModelParams, train_cohort
+from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, optimize
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -144,3 +156,89 @@ def test_a_config_that_validates_runs_without_a_warning(raw):
             # A session may stop on a numeric blow-up, and on nothing else.
             assert isinstance(exc.__cause__, FloatingPointError), exc
     assert [w for w in caught if os.path.abspath(w.filename).startswith(PACKAGE)] == []
+
+
+@st.composite
+def selection_problems(draw):
+    """A pool of at most 12 clients; half the problems carry a coverage bonus."""
+    n = draw(st.integers(1, 12))
+    profiles = [
+        ClientProfile(
+            det_accuracy=draw(st.floats(0.5, 1.0)),
+            false_positive_rate=draw(st.floats(0.0, 0.2)),
+            response_time=draw(st.floats(0.1, 1.0)),
+            reported_accuracy=draw(st.floats(0.0, 1.0)),
+        )
+        for _ in range(n)
+    ]
+    weights = FitnessWeights(
+        draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0))
+    )
+    bonus, mixes = 0.0, None
+    if draw(st.booleans()):
+        bonus = draw(st.floats(0.0, 2.0, exclude_min=True))
+        shares = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        mixes = [(p, 1.0 - p) for p in shares]
+    objective = SubsetObjective(profiles, weights, bonus, mixes)
+    return SelectionProblem(n_clients=n, k=draw(st.integers(1, n)), objective=objective)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+@hypothesis.settings(max_examples=25, **SETTINGS)
+@hypothesis.given(
+    problem=selection_problems(),
+    population=st.integers(2, 6),
+    iterations=st.integers(1, 5),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_every_selector_keeps_its_invariants(name, problem, population, iterations, seed):
+    result = optimize(problem, OptimizerParams(name, population, iterations, seed))
+    n, k = problem.n_clients, problem.k
+    assert len(result.best_subset) == k
+    assert all(0 <= i < n for i in result.best_subset)
+    factor = importlib.import_module(f"swarmfl.swarm.{name}").EVAL_FACTOR
+    assert result.evaluations <= population * (iterations + 1) * factor
+    assert len(result.trace) == iterations
+    assert all(a <= b for a, b in zip(result.trace, result.trace[1:]))
+    assert result.trace[-1] == result.best_value
+    # test_swarm_support's bounds: the summation bound, plus 1e-12 with a bonus.
+    objective = problem.objective
+    members = [objective.profiles[i] for i in result.best_subset]
+    fitness = [client_fitness(p, objective.weights) for p in members]
+    bound = k * 2.0**-52 * np.abs(fitness).mean() + (1e-12 if objective.coverage_bonus else 0.0)
+    assert abs(result.best_value - subset_objective(objective, result.best_subset)) <= bound
+
+
+@st.composite
+def cohorts(draw):
+    """1-6 members of 1-80 samples, some lengths shared, over 1-12 features."""
+    d = draw(st.integers(1, 12))
+    lengths = draw(st.lists(st.integers(1, 80), min_size=1, max_size=3))
+    members = draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return [random_dataset(m, d, seed + i) for i, m in enumerate(members)]
+
+
+@hypothesis.settings(max_examples=60, **SETTINGS)
+@hypothesis.given(
+    cohort=cohorts(),
+    batch_size=st.integers(1, 100),
+    lr=st.floats(1e-3, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+    zeros=st.booleans(),
+)
+def test_train_cohort_equals_training_each_member_alone(cohort, batch_size, lr, seed, zeros):
+    d = cohort[0].features.shape[1]
+    draw = np.random.default_rng(seed)
+    params = (
+        ModelParams.zeros(d)
+        if zeros
+        else ModelParams(weights=draw.standard_normal(d), bias=float(draw.standard_normal()))
+    )
+    rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+    trained = train_cohort(params, cohort, lr, batch_size, rng)
+    for out, data in zip(trained, cohort, strict=True):
+        w, b = reference_local_train(params, data, lr, batch_size, mirror)
+        assert np.array_equal(out.weights, w)
+        assert out.bias == b
+    assert rng.bit_generator.state == mirror.bit_generator.state

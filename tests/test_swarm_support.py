@@ -21,16 +21,14 @@ def make_objective(n, seed=0, coverage=0.0):
     rng = np.random.default_rng(seed)
     profiles = []
     dists = []
-    for i in range(n):
+    for _ in range(n):
         acc = rng.uniform(0.5, 1.0)
         profiles.append(
             ClientProfile(
-                id=i,
                 det_accuracy=acc,
                 false_positive_rate=rng.uniform(0.0, 0.2),
                 response_time=rng.uniform(0.1, 1.0),
                 reported_accuracy=rng.uniform(0.0, 1.0),
-                label_flip_rate=1.0 - acc,
             )
         )
         p = rng.uniform(0.05, 0.95)
@@ -47,14 +45,12 @@ def scored_objective(scores):
     """Objective whose client fitness is exactly ``scores[i]``."""
     profiles = [
         ClientProfile(
-            id=i,
             det_accuracy=0.8,
             false_positive_rate=0.0,
             response_time=1.0,
             reported_accuracy=score,
-            label_flip_rate=0.2,
         )
-        for i, score in enumerate(scores)
+        for score in scores
     ]
     return SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 0.0, 0.0))
 
