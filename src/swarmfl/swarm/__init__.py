@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..fitness import SubsetObjective
 from . import aco, bat, bee, cuckoo, fish, glowworm, gwo, iwd, pso
-from .support import BatchObjective
+from .support import BatchObjective, _OptimumReached
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -88,6 +88,12 @@ class OptimizerParams:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """The best subset a search scored, its value and its running best per iteration.
+
+    ``evaluations`` counts the candidates scored.  That is fewer than the
+    budget when the search stopped at a certified optimum (``optimize``).
+    """
+
     best_subset: frozenset
     best_value: float
     trace: tuple
@@ -100,22 +106,33 @@ def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionRes
     The evaluation budget is population * (iterations + 1) times the
     per-algorithm ``EVAL_FACTOR`` (at most 3).  It is enforced: an evaluation
     that would go past it raises ``RuntimeError``.
+
+    A search stops at the end of the iteration in which its best subset
+    became the certified optimum of a separable objective
+    (``BatchObjective.certified``): no later candidate could replace it.
+    The trace is then padded with ``best_value`` to ``iterations`` entries,
+    so subset, value and trace are those of the full search; only
+    ``evaluations`` is smaller.
     """
     module = _MODULES[params.algorithm]
     rng = np.random.default_rng(params.seed)
     budget = params.population * (params.iterations + 1) * module.EVAL_FACTOR
     objective = BatchObjective(problem.objective, problem.k, budget)
-    module.run(
-        problem.n_clients,
-        problem.k,
-        params.population,
-        params.iterations,
-        objective,
-        rng,
-    )
+    trace = objective.trace
+    try:
+        module.run(
+            problem.n_clients,
+            problem.k,
+            params.population,
+            params.iterations,
+            objective,
+            rng,
+        )
+    except _OptimumReached:
+        trace.extend([objective.best_value] * (params.iterations - len(trace)))
     return SelectionResult(
         best_subset=frozenset(int(i) for i in objective.best_row),
         best_value=objective.best_value,
-        trace=tuple(objective.trace),
+        trace=tuple(trace),
         evaluations=objective.evaluations,
     )

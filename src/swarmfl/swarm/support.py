@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..fitness import SubsetObjective, client_fitness
+from ..fitness import SubsetObjective, client_fitness, greedy_topk
 
 __all__ = [
     "bounce",
@@ -150,6 +150,16 @@ def bounce(x: np.ndarray, v: np.ndarray, vmax: float):
     return folded, speed
 
 
+# The largest |fitness| a certificate accepts.  The searches sum score gaps
+# (bee, glowworm) and multiply squared gaps by trail levels of at most 10
+# (aco); below 2**500 none of that comes near overflow.
+_SCORE_LIMIT = 2.0**500
+
+
+class _OptimumReached(Exception):
+    """Raised by ``close_iteration`` once the best row is the certified optimum."""
+
+
 class BatchObjective:
     """Budgeted, vectorized evaluation of subsets with best-so-far tracking.
 
@@ -165,6 +175,17 @@ class BatchObjective:
     improvement, so the earliest subset achieving a value is kept and tie
     handling is deterministic across runs.  ``close_iteration`` appends the
     running best to ``trace``.
+
+    Without the coverage bonus the objective is separable, and its exact
+    optimum is the top-k clients (``fitness.greedy_topk``).  ``certified``
+    holds that set when no other k-set can score as high, whatever the
+    rounding, and is None otherwise.  Once a strict improvement makes it the
+    best row, no later row can replace it: every other set scores lower, and
+    the set itself scores the same bits again, because every search passes
+    its rows sorted and a row's value does not depend on its batch.  So the
+    ``close_iteration`` that ends that iteration raises ``_OptimumReached``
+    and ``optimize`` stops the search.  See ``_certified_optimum`` for the
+    bound.
     """
 
     def __init__(self, objective: SubsetObjective, k: int, budget: int):
@@ -181,6 +202,47 @@ class BatchObjective:
         self._dists: Optional[np.ndarray] = None
         if objective.coverage_bonus > 0:
             self._dists = np.asarray(objective.class_distributions, dtype=float)
+        self.certified: Optional[frozenset] = self._certified_optimum()
+        self._optimal = False
+
+    def _certified_optimum(self) -> Optional[frozenset]:
+        """The top-k clients, if the margin proves them the unique best k-set.
+
+        With ``coverage_bonus`` 0 a row scores the mean of its members'
+        fitness f.  Let M = max |f| and u = 2**-53.  A row's sum of k terms,
+        in any order, is within about (k - 1) u k M of its exact sum, so the
+        quotient by k is within (k - 1) u M of the exact mean, and rounding
+        the quotient adds at most u M: a score lies within about k u M of its
+        exact mean, and (k + 1) u M covers the higher-order terms.  Let gap be
+        the k-th largest fitness minus the (k+1)-th.  A k-set S other than
+        the top-k set T swaps j >= 1 members of T, each at least the k-th
+        largest, for j others, each at most the (k+1)-th, so its exact mean
+        is at least gap / k below T's.  Both scores move by at most
+        (k + 1) u M, so S scores strictly below T when gap / k exceeds
+        2 (k + 1) u M, that is gap > k (k + 1) 2**-52 M.  The certificate
+        asks for twice that, ``2 k (k + 1) 2**-52 M``.  With k = n there is
+        one k-set, and it is certified.
+
+        The gap and the bound are Python floats, which never warn or raise:
+        a non-finite fitness gives no certificate, and so does a tie at the
+        k boundary (a gap of 0).  So does a fitness beyond ``_SCORE_LIMIT``
+        in magnitude, where a search's own arithmetic on scores could
+        overflow, which raises ``FloatingPointError`` in a session, in an
+        iteration that the stop would skip.
+        """
+        if self.objective.coverage_bonus > 0:
+            return None
+        scores = self.fitness.tolist()
+        # Written so that NaN fails: every comparison with NaN is false.
+        if not all(abs(f) <= _SCORE_LIMIT for f in scores):
+            return None
+        k = self.k
+        if k < len(scores):
+            ranked = sorted(scores, reverse=True)
+            bound = 2 * k * (k + 1) * 2.0**-52 * max(map(abs, scores))
+            if not ranked[k - 1] - ranked[k] > bound:
+                return None
+        return frozenset(greedy_topk(self.objective, k))
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         """Objective value for each (m, k) row of distinct client indices.
@@ -210,6 +272,7 @@ class BatchObjective:
         if values[i] > self.best_value:
             self.best_value = float(values[i])
             self.best_row = np.array(rows[i], copy=True)
+            self._optimal = self.certified == frozenset(self.best_row.tolist())
         return values
 
     def value_positions(self, coords: np.ndarray) -> np.ndarray:
@@ -217,4 +280,7 @@ class BatchObjective:
         return self.value_rows(decode_rows(coords, self.k))
 
     def close_iteration(self) -> None:
+        """Append the running best to ``trace``; stop once it is the certified optimum."""
         self.trace.append(self.best_value)
+        if self._optimal:
+            raise _OptimumReached

@@ -5,9 +5,11 @@ host when it loads, and numpy dispatches its loops to the widest SIMD level
 the host has.  ``OPENBLAS_CORETYPE`` and ``NPY_DISABLE_CPU_FEATURES`` force
 other choices; they are read once at load time, so each case sets one of them
 for a child process only.  The child computes every pinned selector and
-session digest and runs a small ``swarmfl run``.  The digests must be the
-ones pinned in test_selector_digests.py and test_session_digests.py, and
-every report file must have the bytes of the same run in this process.
+session digest, and the selectors' evaluation counts, and runs a small
+``swarmfl run``.  The digests and counts must be the ones pinned in
+test_selector_digests.py and test_session_digests.py, so a search stops at
+the same point under every kernel, and every report file must have the bytes
+of the same run in this process.
 Trained weights may differ in bits under another kernel (README,
 "byte-reproducible"); the reports are counts, and must not.
 
@@ -101,10 +103,12 @@ def child(out):
     out = Path(out)
     out.mkdir(parents=True)
     run_report(out / "report")
+    outputs = {name: selectors.selector_output(name) for name in selectors.DIGESTS}
     return {
         "openblas_core": openblas_core(),
         "dispatched": [name for name in umath.__cpu_dispatch__ if umath.__cpu_features__.get(name)],
-        "selectors": {name: selectors.selector_digest(name) for name in selectors.DIGESTS},
+        "selectors": {name: digest for name, (digest, _) in outputs.items()},
+        "evaluations": {name: list(counts) for name, (_, counts) in outputs.items()},
         "sessions": {name: sessions.session_digest(name) for name in sessions.DIGESTS},
     }
 
@@ -149,6 +153,9 @@ def test_disabled_avx512_keeps_digests_and_reports(expected_report, tmp_path):
 
 def assert_same_output(found, out, expected_report):
     assert found["selectors"] == selectors.DIGESTS
+    assert found["evaluations"] == {
+        name: list(counts) for name, counts in selectors.EVALUATIONS.items()
+    }
     assert found["sessions"] == sessions.DIGESTS
     assert report_files(out / "report") == expected_report
 

@@ -1,5 +1,6 @@
 """Properties over generated inputs: strict parsing, tiny grids that run clean,
-the selectors' invariants, and cohort training that matches one-client training.
+the selectors' invariants, searches stopped at a certified optimum that return
+the full search's result, and cohort training that matches one-client training.
 
 Runs are derandomized, with no example database and fixed example counts,
 so the suite sees the same inputs every time.
@@ -25,6 +26,7 @@ from swarmfl.fitness import (
 )
 from swarmfl.flsim import ModelParams, train_cohort
 from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, optimize
+from swarmfl.swarm.support import BatchObjective
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -207,6 +209,38 @@ def test_every_selector_keeps_its_invariants(name, problem, population, iteratio
     fitness = [client_fitness(p, objective.weights) for p in members]
     bound = k * 2.0**-52 * np.abs(fitness).mean() + (1e-12 if objective.coverage_bonus else 0.0)
     assert abs(result.best_value - subset_objective(objective, result.best_subset)) <= bound
+
+
+@st.composite
+def tied_selection_problems(draw):
+    """A separable pool of at most 12 clients whose fitness takes one of four values."""
+    n = draw(st.integers(1, 12))
+    scores = draw(st.lists(st.sampled_from([0.2, 0.4, 0.6, 0.8]), min_size=n, max_size=n))
+    profiles = [ClientProfile(0.8, 0.0, 1.0, score) for score in scores]
+    objective = SubsetObjective(profiles, FitnessWeights(1.0, 0.0, 0.0))
+    return SelectionProblem(n_clients=n, k=draw(st.integers(1, n)), objective=objective)
+
+
+@pytest.mark.parametrize("name", ALGORITHM_NAMES)
+@hypothesis.settings(max_examples=25, **SETTINGS)
+@hypothesis.given(
+    problem=selection_problems() | tied_selection_problems(),
+    population=st.integers(2, 6),
+    iterations=st.integers(1, 12),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_a_stopped_search_returns_the_full_search_result(
+    name, problem, population, iterations, seed
+):
+    params = OptimizerParams(name, population, iterations, seed)
+    stopped = optimize(problem, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(BatchObjective, "_certified_optimum", lambda self: None)
+        full = optimize(problem, params)
+    assert stopped.best_subset == full.best_subset
+    assert stopped.best_value.hex() == full.best_value.hex()
+    assert [v.hex() for v in stopped.trace] == [v.hex() for v in full.trace]
+    assert stopped.evaluations <= full.evaluations
 
 
 @st.composite

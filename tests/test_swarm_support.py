@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from swarmfl.fitness import ClientProfile, FitnessWeights, SubsetObjective, subset_objective
+from swarmfl.fitness import (
+    ClientProfile,
+    FitnessWeights,
+    SubsetObjective,
+    greedy_topk,
+    subset_objective,
+)
 from swarmfl.swarm.support import (
     BatchObjective,
+    _OptimumReached,
     _levy_sigma,
     bounce,
     decode_rows,
@@ -14,7 +21,7 @@ from swarmfl.swarm.support import (
     keyed_sample,
     levy_sample,
 )
-from swarmfl.swarm import fish
+from swarmfl.swarm import OptimizerParams, SelectionProblem, fish, optimize
 
 
 def make_objective(n, seed=0, coverage=0.0):
@@ -398,6 +405,79 @@ def test_tracker_trace_records_running_best():
     batch.close_iteration()
     batch.value_rows(np.array([[1]]))
     batch.close_iteration()
-    batch.value_rows(np.array([[2]]))
-    batch.close_iteration()
+    batch.value_rows(np.array([[2]]))  # the certified optimum
+    with pytest.raises(_OptimumReached):
+        batch.close_iteration()
     assert batch.trace == [0.3, 0.3, 0.7]
+
+
+# --- certified optimum ----------------------------------------------------------
+
+
+def test_no_certificate_with_a_coverage_bonus():
+    bonus = make_objective(6, seed=19, coverage=0.6)
+    assert BatchObjective(bonus, k=2, budget=1).certified is None
+    separable = make_objective(6, seed=19)
+    assert BatchObjective(separable, k=2, budget=1).certified == greedy_topk(separable, 2)
+
+
+def test_no_certificate_with_a_tie_at_the_k_boundary():
+    objective = scored_objective([0.9, 0.5, 0.1, 0.5])
+    assert BatchObjective(objective, k=2, budget=1).certified is None
+    # Ties away from the boundary do not matter.
+    assert BatchObjective(objective, k=1, budget=1).certified == {0}
+    assert BatchObjective(objective, k=3, budget=1).certified == {0, 1, 3}
+
+
+def test_no_certificate_with_a_gap_inside_the_bound():
+    # With k = 1 the bound is 4 * 2**-52 * 0.7, about 5.6 ulps of 0.7.
+    top = 0.7
+    inside = scored_objective([top - 4 * math.ulp(top), top])
+    outside = scored_objective([top - 8 * math.ulp(top), top])
+    assert BatchObjective(inside, k=1, budget=1).certified is None
+    assert BatchObjective(outside, k=1, budget=1).certified == {1}
+
+
+@pytest.mark.parametrize("w3", [0.1, 0.0], ids=["inf", "nan"])
+def test_no_certificate_with_non_finite_fitness(w3):
+    # A response time near zero overflows 1 / response_time; times w3 = 0 it is NaN.
+    profiles = [
+        ClientProfile(
+            det_accuracy=0.8, false_positive_rate=0.0, response_time=t, reported_accuracy=a
+        )
+        for t, a in [(1.0, 0.2), (1e-310, 0.5), (1.0, 0.9)]
+    ]
+    objective = SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 0.0, w3))
+    with np.errstate(all="raise"):
+        batch = BatchObjective(objective, k=1, budget=1)
+    assert not math.isfinite(batch.fitness[1])
+    assert batch.certified is None
+
+
+def test_no_certificate_where_a_search_could_overflow():
+    # Without the limit, aco stopped here before its trail levels grew far
+    # enough to overflow tau * eta**2, where the full search raises.
+    profiles = make_objective(25, seed=20).profiles
+    huge = SubsetObjective(profiles=profiles, weights=FitnessWeights(5e153, 1.0, 0.1))
+    assert BatchObjective(huge, k=10, budget=1).certified is None
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        optimize(SelectionProblem(25, 10, huge), OptimizerParams("aco", seed=0))
+
+
+def test_k_equal_to_n_is_certified():
+    batch = BatchObjective(scored_objective([0.5, 0.5, 0.5]), k=3, budget=1)
+    assert batch.certified == {0, 1, 2}
+
+
+def test_stop_fires_at_the_first_close_after_the_certified_set_is_scored():
+    batch = BatchObjective(scored_objective([0.3, 0.9, 0.2, 0.7]), k=2, budget=10)
+    assert batch.certified == {1, 3}
+    batch.value_rows(np.array([[0, 1], [1, 2]]))
+    batch.close_iteration()
+    values = batch.value_rows(np.array([[0, 2], [1, 3]]))
+    batch.value_rows(np.array([[0, 3]]))  # the iteration goes on after the optimum
+    with pytest.raises(_OptimumReached):
+        batch.close_iteration()
+    assert batch.trace == [0.6, values[1]]
+    assert list(batch.best_row) == [1, 3]
+    assert batch.evaluations == 5
