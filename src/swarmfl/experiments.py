@@ -150,10 +150,12 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
     Each cell carries its complete ``SessionConfig``, built once here from the
     config's shared settings and running the grid's first algorithm;
     ``run_experiment`` swaps in each task's own.  A broken family rule
-    raises ``ConfigError`` in that family's branch, and a setting out of
-    range raises the ``ValueError`` of the spec that holds it.
+    raises ``ConfigError``, and a setting out of range raises the
+    ``ValueError`` of the spec that holds it.
     """
     experiment = config.experiment
+    if experiment != "noise" and tuple(config.noise_levels) != ExperimentConfig.noise_levels:
+        raise ConfigError("noise_levels only applies to noise experiments")
     shared = dict(
         dataset=config.dataset,
         partition=config.partition

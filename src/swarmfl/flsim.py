@@ -280,9 +280,7 @@ def run_round(
         profiles=[c.profile for c in pool],
         weights=config.weights,
         coverage_bonus=config.coverage_bonus,
-        class_distributions=(
-            [c.class_distribution for c in pool] if config.coverage_bonus > 0 else None
-        ),
+        class_distributions=[c.class_distribution for c in pool],
     )
     problem = SelectionProblem(n_clients=len(pool), k=k, objective=objective)
     round_seed = int(rng.integers(0, 2**64, dtype=np.uint64))

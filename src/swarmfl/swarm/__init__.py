@@ -16,7 +16,7 @@ import numpy as np
 from ..errors import ConfigError
 from ..fitness import SubsetObjective
 from . import aco, bat, bee, cuckoo, fish, glowworm, gwo, iwd, pso
-from .support import BatchObjective, _OptimumReached
+from .support import BatchObjective
 
 __all__ = [
     "ALGORITHM_NAMES",
@@ -107,29 +107,28 @@ def optimize(problem: SelectionProblem, params: OptimizerParams) -> SelectionRes
     per-algorithm ``EVAL_FACTOR`` (at most 3).  It is enforced: an evaluation
     that would go past it raises ``RuntimeError``.
 
-    A search stops at the end of the iteration in which its best subset
-    became the certified optimum of a separable objective
-    (``BatchObjective.certified``): no later candidate could replace it.
-    The trace is then padded with ``best_value`` to ``iterations`` entries,
-    so subset, value and trace are those of the full search; only
-    ``evaluations`` is smaller.
+    Each algorithm's ``run`` is a generator that yields once at the end of
+    every iteration; ``optimize`` drives it and records ``best_value`` after
+    each yield as the trace.  A search stops at the end of the iteration in
+    which its best subset became the certified optimum of a separable
+    objective (``BatchObjective.optimal``): no later candidate could replace
+    it, and the generator is not resumed.  The trace is then padded with
+    ``best_value`` to ``iterations`` entries, so subset, value and trace are
+    those of the full search; only ``evaluations`` is smaller.
     """
     module = _MODULES[params.algorithm]
     rng = np.random.default_rng(params.seed)
     budget = params.population * (params.iterations + 1) * module.EVAL_FACTOR
     objective = BatchObjective(problem.objective, problem.k, budget)
-    trace = objective.trace
-    try:
-        module.run(
-            problem.n_clients,
-            problem.k,
-            params.population,
-            params.iterations,
-            objective,
-            rng,
-        )
-    except _OptimumReached:
-        trace.extend([objective.best_value] * (params.iterations - len(trace)))
+    steps = module.run(
+        problem.n_clients, problem.k, params.population, params.iterations, objective, rng
+    )
+    trace = []
+    for _ in steps:
+        trace.append(objective.best_value)
+        if objective.optimal:
+            trace.extend([objective.best_value] * (params.iterations - len(trace)))
+            break
     return SelectionResult(
         best_subset=frozenset(int(i) for i in objective.best_row),
         best_value=objective.best_value,

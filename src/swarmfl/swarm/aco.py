@@ -45,4 +45,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         tau[rows[values.argmax()]] += DEPOSIT
         np.maximum(tau, TAU_MIN, out=tau)
         np.minimum(tau, TAU_MAX, out=tau)
-        objective.close_iteration()
+        yield

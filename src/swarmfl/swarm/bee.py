@@ -139,4 +139,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
             rows[stale] = decode_rows(x[stale], k)
             values[stale] = objective.value_rows(rows[stale][None, :])[0]
             trials[stale] = 0
-        objective.close_iteration()
+        yield

@@ -45,4 +45,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         if values[b] > best_val:
             best_x = x[b].copy()
             best_val = float(values[b])
-        objective.close_iteration()
+        yield

@@ -118,4 +118,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
             if turn(i, pulls[i], probes):
                 clear[i + 1 :] &= _farther(x[i : i + 1], start[i + 1 :], VISUAL)[0]
             i += 1
-        objective.close_iteration()
+        yield

@@ -99,4 +99,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         probes = rng.uniform(-IDLE_PROBE, IDLE_PROBE, (population, n))
         x, radius = step_swarm(x, luciferin, radius, r_sense, picks, probes)
         values = objective.value_positions(x)
-        objective.close_iteration()
+        yield

@@ -55,4 +55,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         x = fold_into_box((p[0] + p[1] + p[2]) / 3.0)
         rows = decode_rows(x, k)
         values = objective.value_rows(rows)
-        objective.close_iteration()
+        yield

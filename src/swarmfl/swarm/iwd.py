@@ -100,4 +100,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
             s = min(max(soil[i] * REINFORCE, SOIL_MIN), SOIL_MAX)
             soil[i] = s
             buffer[i] = 1.0 / (PROB_EPS + s)
-        objective.close_iteration()
+        yield

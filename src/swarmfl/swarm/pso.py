@@ -69,4 +69,4 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         if pbest_val[g] > gbest_val:
             gbest = pbest[g].copy()
             gbest_val = float(pbest_val[g])
-        objective.close_iteration()
+        yield

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..fitness import SubsetObjective, client_fitness, greedy_topk
+from ..fitness import SubsetObjective, client_fitness
 
 __all__ = [
     "bounce",
@@ -156,10 +156,6 @@ def bounce(x: np.ndarray, v: np.ndarray, vmax: float):
 _SCORE_LIMIT = 2.0**500
 
 
-class _OptimumReached(Exception):
-    """Raised by ``close_iteration`` once the best row is the certified optimum."""
-
-
 class BatchObjective:
     """Budgeted, vectorized evaluation of subsets with best-so-far tracking.
 
@@ -173,8 +169,8 @@ class BatchObjective:
     call that would take ``evaluations`` past it raises ``RuntimeError``
     before scoring anything.  The best row is replaced only on strict
     improvement, so the earliest subset achieving a value is kept and tie
-    handling is deterministic across runs.  ``close_iteration`` appends the
-    running best to ``trace``.
+    handling is deterministic across runs.  It keeps no trace: ``optimize``
+    runs the iterations and records ``best_value`` after each.
 
     Without the coverage bonus the objective is separable, and its exact
     optimum is the top-k clients (``fitness.greedy_topk``).  ``certified``
@@ -182,10 +178,9 @@ class BatchObjective:
     rounding, and is None otherwise.  Once a strict improvement makes it the
     best row, no later row can replace it: every other set scores lower, and
     the set itself scores the same bits again, because every search passes
-    its rows sorted and a row's value does not depend on its batch.  So the
-    ``close_iteration`` that ends that iteration raises ``_OptimumReached``
-    and ``optimize`` stops the search.  See ``_certified_optimum`` for the
-    bound.
+    its rows sorted and a row's value does not depend on its batch.  So that
+    improvement sets ``optimal``, and ``optimize`` stops the search at the
+    end of the iteration.  See ``_certified_optimum`` for the bound.
     """
 
     def __init__(self, objective: SubsetObjective, k: int, budget: int):
@@ -198,12 +193,11 @@ class BatchObjective:
         self.evaluations = 0
         self.best_row: Optional[np.ndarray] = None
         self.best_value = -math.inf
-        self.trace: list = []
         self._dists: Optional[np.ndarray] = None
         if objective.coverage_bonus > 0:
             self._dists = np.asarray(objective.class_distributions, dtype=float)
         self.certified: Optional[frozenset] = self._certified_optimum()
-        self._optimal = False
+        self.optimal = False
 
     def _certified_optimum(self) -> Optional[frozenset]:
         """The top-k clients, if the margin proves them the unique best k-set.
@@ -221,7 +215,9 @@ class BatchObjective:
         (k + 1) u M, so S scores strictly below T when gap / k exceeds
         2 (k + 1) u M, that is gap > k (k + 1) 2**-52 M.  The certificate
         asks for twice that, ``2 k (k + 1) 2**-52 M``.  With k = n there is
-        one k-set, and it is certified.
+        one k-set, and it is certified.  The clients are ranked once, as
+        ``fitness.greedy_topk`` ranks them, and the gap and the set are both
+        read from that order.
 
         The gap and the bound are Python floats, which never warn or raise:
         a non-finite fitness gives no certificate, and so does a tie at the
@@ -237,12 +233,12 @@ class BatchObjective:
         if not all(abs(f) <= _SCORE_LIMIT for f in scores):
             return None
         k = self.k
+        order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
         if k < len(scores):
-            ranked = sorted(scores, reverse=True)
             bound = 2 * k * (k + 1) * 2.0**-52 * max(map(abs, scores))
-            if not ranked[k - 1] - ranked[k] > bound:
+            if not scores[order[k - 1]] - scores[order[k]] > bound:
                 return None
-        return frozenset(greedy_topk(self.objective, k))
+        return frozenset(order[:k])
 
     def value_rows(self, rows: np.ndarray) -> np.ndarray:
         """Objective value for each (m, k) row of distinct client indices.
@@ -272,15 +268,9 @@ class BatchObjective:
         if values[i] > self.best_value:
             self.best_value = float(values[i])
             self.best_row = np.array(rows[i], copy=True)
-            self._optimal = self.certified == frozenset(self.best_row.tolist())
+            self.optimal = self.certified == frozenset(self.best_row.tolist())
         return values
 
     def value_positions(self, coords: np.ndarray) -> np.ndarray:
         """Objective value for each (m, N) position, rank-decoded to k clients."""
         return self.value_rows(decode_rows(coords, self.k))
-
-    def close_iteration(self) -> None:
-        """Append the running best to ``trace``; stop once it is the certified optimum."""
-        self.trace.append(self.best_value)
-        if self._optimal:
-            raise _OptimumReached

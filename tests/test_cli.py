@@ -110,6 +110,37 @@ def test_validate_repeated_algorithm_is_exit_one(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("experiment", ["fixed", "noniid", "dynamic"])
+def test_noise_levels_outside_the_noise_family_is_exit_one(experiment, tmp_path, capsys):
+    # Outside the noise family the levels would be written to manifest.json
+    # and used by no cell.
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"experiment": experiment, "noise_levels": [0.9]}), "utf-8")
+    out_dir = tmp_path / "x"
+    for args in (
+        ["validate", "--config", str(bad)],
+        ["run", "--config", str(bad), "--out", str(out_dir)],
+    ):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "config error: noise_levels only applies to noise experiments\n"
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_default_noise_levels_are_accepted_outside_the_noise_family(
+    tiny_config_file, tmp_path, capsys
+):
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config["noise_levels"] = [0.25, 0.5]
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "x"
+    assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
+    capsys.readouterr()
+    manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["noise_levels"] == [0.25, 0.5]
+
+
 @pytest.mark.parametrize(
     "value",
     [float("nan"), float("inf"), float("-inf"), 10**400],

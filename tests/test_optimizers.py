@@ -287,7 +287,7 @@ def reference_iwd_run(n, k, population, iterations, objective, rng):
         values = objective.value_rows(rows)
         best = rows[int(np.argmax(values))]
         soil[best] = np.clip(soil[best] * iwd.REINFORCE, iwd.SOIL_MIN, iwd.SOIL_MAX)
-        objective.close_iteration()
+        yield
 
 
 def reference_glowworm_step(snapshot, lucif, radius, r_sense, picks, probes):
@@ -464,7 +464,7 @@ def reference_fish_run(n, k, population, iterations, objective, rng, fired):
                     x[i] = trial
                     values[i] = trial_val
                     break
-        objective.close_iteration()
+        yield
 
 
 def reference_bee_run(n, k, population, iterations, objective, rng, scouts):
@@ -524,7 +524,7 @@ def reference_bee_run(n, k, population, iterations, objective, rng, scouts):
             x[stale] = rng.random(n)
             values[stale] = objective.value_positions(x[stale][None, :])[0]
             trials[stale] = 0
-        objective.close_iteration()
+        yield
 
 
 def coverage_problem(n, k, seed, bonus):
@@ -542,13 +542,14 @@ def run_recording(problem, params, monkeypatch, reference=None):
     shows even when it decodes to the same subset.  Every scoring call is
     traced back to the positions decoded last: a call that scores m rows
     scores the first m of them, which is checked row by row.  With
-    ``reference`` given, it replaces the algorithm module's ``run``.
+    ``reference`` given, it replaces the algorithm module's ``run``.  The
+    run is wrapped so that each iteration's end starts a new list.
     """
     scored = [[]]
     decoded = []
     module = importlib.import_module(f"swarmfl.swarm.{params.algorithm}")
     value_rows = BatchObjective.value_rows
-    close_iteration = BatchObjective.close_iteration
+    run = module.run if reference is None else reference
 
     def decoding(coords, k):
         decoded[:] = [np.array(coords, ndmin=2)]
@@ -560,18 +561,17 @@ def run_recording(problem, params, monkeypatch, reference=None):
         scored[-1].extend(map(tuple, coords.tolist()))
         return value_rows(self, rows)
 
-    def closing(self):
-        scored.append([])
-        close_iteration(self)
+    def stepping(*args):
+        for _ in run(*args):
+            scored.append([])
+            yield
 
     with monkeypatch.context() as patch:
         patch.setattr(support, "decode_rows", decoding)
         if hasattr(module, "decode_rows"):
             patch.setattr(module, "decode_rows", decoding)
         patch.setattr(BatchObjective, "value_rows", recording)
-        patch.setattr(BatchObjective, "close_iteration", closing)
-        if reference is not None:
-            patch.setattr(module, "run", reference)
+        patch.setattr(module, "run", stepping)
         result = optimize(problem, params)
     return result, scored
 
@@ -727,7 +727,7 @@ def reference_gwo_run(n, k, population, iterations, objective, rng):
         x = fold_into_box(pulled / 3.0)
         rows = decode_rows(x, k)
         values = objective.value_rows(rows)
-        objective.close_iteration()
+        yield
 
 
 def reference_bat_run(n, k, population, iterations, objective, rng):
@@ -768,7 +768,7 @@ def reference_bat_run(n, k, population, iterations, objective, rng):
         if values[b] > best_val:
             best_x = x[b].copy()
             best_val = float(values[b])
-        objective.close_iteration()
+        yield
 
 
 def reference_pso_run(n, k, population, iterations, objective, rng, kicks):
@@ -803,7 +803,7 @@ def reference_pso_run(n, k, population, iterations, objective, rng, kicks):
         if pbest_val[g] > gbest_val:
             gbest = pbest[g].copy()
             gbest_val = float(pbest_val[g])
-        objective.close_iteration()
+        yield
 
 
 # 3/3 has a single subset and population 2 only two wolves, so both reach

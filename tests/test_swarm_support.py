@@ -12,7 +12,6 @@ from swarmfl.fitness import (
 )
 from swarmfl.swarm.support import (
     BatchObjective,
-    _OptimumReached,
     _levy_sigma,
     bounce,
     decode_rows,
@@ -21,7 +20,7 @@ from swarmfl.swarm.support import (
     keyed_sample,
     levy_sample,
 )
-from swarmfl.swarm import OptimizerParams, SelectionProblem, fish, optimize
+from swarmfl.swarm import OptimizerParams, SelectionProblem, fish, gwo, optimize
 
 
 def make_objective(n, seed=0, coverage=0.0):
@@ -398,17 +397,22 @@ def test_tracker_keeps_strictly_better_only():
     assert batch.best_value == 0.91
 
 
-def test_tracker_trace_records_running_best():
-    batch = BatchObjective(scored_objective([0.3, 0.2, 0.7]), k=1, budget=10)
-    assert batch.trace == []
-    batch.value_rows(np.array([[0]]))
-    batch.close_iteration()
-    batch.value_rows(np.array([[1]]))
-    batch.close_iteration()
-    batch.value_rows(np.array([[2]]))  # the certified optimum
-    with pytest.raises(_OptimumReached):
-        batch.close_iteration()
-    assert batch.trace == [0.3, 0.3, 0.7]
+def test_optimal_is_set_once_the_certified_set_is_the_best_row():
+    batch = BatchObjective(scored_objective([0.3, 0.9, 0.2, 0.7]), k=2, budget=10)
+    assert batch.certified == {1, 3}
+    assert not batch.optimal
+    batch.value_rows(np.array([[0, 1], [1, 2]]))
+    assert not batch.optimal
+    batch.value_rows(np.array([[0, 2], [1, 3]]))
+    assert batch.optimal
+    batch.value_rows(np.array([[0, 3], [1, 3]]))  # lower, then the same set again
+    assert batch.optimal
+    assert list(batch.best_row) == [1, 3]
+    # A tie at the k boundary gives no certificate, so no best row is optimal.
+    tied = BatchObjective(scored_objective([0.9, 0.5, 0.1, 0.5]), k=2, budget=10)
+    tied.value_rows(np.array([[0, 1], [0, 3]]))
+    assert tied.certified is None
+    assert not tied.optimal
 
 
 # --- certified optimum ----------------------------------------------------------
@@ -469,15 +473,64 @@ def test_k_equal_to_n_is_certified():
     assert batch.certified == {0, 1, 2}
 
 
-def test_stop_fires_at_the_first_close_after_the_certified_set_is_scored():
-    batch = BatchObjective(scored_objective([0.3, 0.9, 0.2, 0.7]), k=2, budget=10)
-    assert batch.certified == {1, 3}
-    batch.value_rows(np.array([[0, 1], [1, 2]]))
-    batch.close_iteration()
-    values = batch.value_rows(np.array([[0, 2], [1, 3]]))
-    batch.value_rows(np.array([[0, 3]]))  # the iteration goes on after the optimum
-    with pytest.raises(_OptimumReached):
-        batch.close_iteration()
-    assert batch.trace == [0.6, values[1]]
-    assert list(batch.best_row) == [1, 3]
-    assert batch.evaluations == 5
+def test_optimize_stops_at_the_first_iteration_end_after_the_certified_set_is_scored(
+    monkeypatch,
+):
+    steps = []
+
+    def run(n, k, population, iterations, objective, rng):
+        objective.value_rows(np.array([[0, 1], [1, 2]]))
+        steps.append(0)
+        yield
+        objective.value_rows(np.array([[0, 2], [1, 3]]))  # the certified optimum
+        objective.value_rows(np.array([[0, 3]]))  # the iteration goes on after it
+        steps.append(1)
+        yield
+        steps.append("resumed")
+
+    monkeypatch.setattr(gwo, "run", run)
+    problem = SelectionProblem(4, 2, scored_objective([0.3, 0.9, 0.2, 0.7]))
+    result = optimize(problem, OptimizerParams("gwo", population=2, iterations=5))
+    assert steps == [0, 1]
+    assert result.best_subset == {1, 3}
+    assert result.trace == (0.6,) + (result.best_value,) * 4
+    assert result.evaluations == 5
+
+
+def test_optimize_pulls_an_uncertified_search_every_iteration(monkeypatch):
+    # A tie at the k boundary: {0, 1} and {0, 3} are both optimal, and neither is certified.
+    rows = np.array([[1, 2], [0, 1], [0, 3], [2, 3]])
+    pulls = []
+
+    def run(n, k, population, iterations, objective, rng):
+        for t in range(iterations):
+            objective.value_rows(rows[t : t + 1])
+            yield
+            pulls.append(t)
+
+    monkeypatch.setattr(gwo, "run", run)
+    problem = SelectionProblem(4, 2, scored_objective([0.9, 0.5, 0.1, 0.5]))
+    result = optimize(problem, OptimizerParams("gwo", population=2, iterations=4))
+    assert pulls == [0, 1, 2, 3]
+    assert result.best_subset == {0, 1}
+    assert result.trace == (0.3, 0.7, 0.7, 0.7)
+    assert result.evaluations == 4
+
+
+def test_certificate_is_none_or_the_greedy_top_k():
+    # Odd trials draw fitness from a coarse grid, so ties fall both at and
+    # away from the k boundary; there the certificate fails exactly at a tie.
+    rng = np.random.default_rng(23)
+    outcomes = set()
+    for trial in range(200):
+        n = int(rng.integers(1, 13))
+        scores = rng.choice([0.2, 0.4, 0.6, 0.8], size=n).tolist()
+        objective = scored_objective(scores) if trial % 2 else make_objective(n, seed=trial)
+        ranked = sorted(scores, reverse=True)
+        for k in range(1, n + 1):
+            certified = BatchObjective(objective, k=k, budget=1).certified
+            assert certified is None or certified == greedy_topk(objective, k)
+            if trial % 2:
+                assert (certified is None) == (k < n and ranked[k - 1] == ranked[k])
+            outcomes.add(certified is None)
+    assert outcomes == {True, False}
