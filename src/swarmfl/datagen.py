@@ -26,6 +26,7 @@ __all__ = [
     "LabeledDataset",
     "sample_client_profiles",
     "gen_dataset",
+    "gen_client_datasets",
     "dirichlet_partition",
     "corrupt_labels",
     "participation_at",
@@ -167,19 +168,80 @@ def gen_dataset(
     class_separation / sqrt(n_features) along every axis, so the distance
     between class means equals class_separation.
     """
-    props = np.asarray(class_proportions, dtype=float)
-    if props.shape != (2,):
-        raise ValueError("class_proportions must have length 2")
-    if not (np.all(props >= 0) and abs(props.sum() - 1.0) <= _SUM_TOL):
-        raise ValueError("class_proportions must be nonnegative and sum to 1")
+    props = _class_proportions(class_proportions, (2,))
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
 
-    labels = (rng.random(n_samples) < props[1]).astype(int)
-    shift = spec.class_separation / math.sqrt(spec.n_features)
+    labels = _labels(rng.random(n_samples), props[1])
     features = rng.standard_normal((n_samples, spec.n_features))
-    features += labels[:, None] * shift
+    _shift(features, labels, spec)
     return LabeledDataset(features=features, labels=labels)
+
+
+def gen_client_datasets(
+    spec: DatasetSpec,
+    n_samples: int,
+    class_proportions,
+    flip_rates,
+    rng: np.random.Generator,
+) -> list:
+    """One corrupted labeled set per client, drawn as one block.
+
+    Bit for bit, and with the same generator state after, the same as
+    ``gen_dataset`` then ``corrupt_labels`` for each client in turn: client
+    by client, the generator fills that client's row of three blocks, its
+    label draws, its ``(n_samples, n_features)`` features and its flip
+    draws.  The label, shift and flip transforms then run once over the
+    whole ``(clients, n_samples, n_features)`` block, and each client's set
+    is a view of its row.  ``class_proportions`` holds one pair per client
+    and ``flip_rates`` one rate per client.
+    """
+    n = len(flip_rates)
+    if n < 1:
+        raise ValueError("need at least one client")
+    props = _class_proportions(class_proportions, (n, 2))
+    rates = np.asarray(flip_rates, dtype=float)
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    if not np.all((rates >= 0.0) & (rates <= 1.0)):
+        raise ValueError(f"flip rates must be in [0,1], got {rates}")
+
+    label_draws = np.empty((n, n_samples))
+    features = np.empty((n, n_samples, spec.n_features))
+    flip_draws = np.empty((n, n_samples))
+    for i in range(n):
+        rng.random(out=label_draws[i])
+        rng.standard_normal(out=features[i])
+        rng.random(out=flip_draws[i])
+    labels = _labels(label_draws, props[:, 1:])
+    _shift(features, labels, spec)
+    labels = _flip(labels, flip_draws, rates[:, None])
+    return [LabeledDataset(features=features[i], labels=labels[i]) for i in range(n)]
+
+
+def _class_proportions(values, shape) -> np.ndarray:
+    """``values`` as floats of ``shape``, each last-axis pair nonnegative and summing to 1."""
+    props = np.asarray(values, dtype=float)
+    if props.shape != shape:
+        raise ValueError(f"class_proportions must have shape {shape}, got {props.shape}")
+    if not (np.all(props >= 0) and np.all(np.abs(props.sum(axis=-1) - 1.0) <= _SUM_TOL)):
+        raise ValueError("class_proportions must be nonnegative and sum to 1")
+    return props
+
+
+def _labels(draws: np.ndarray, positive_share) -> np.ndarray:
+    """Label 1 where a U[0,1) draw falls below the class-1 share, else 0."""
+    return (draws < positive_share).astype(int)
+
+
+def _shift(features: np.ndarray, labels: np.ndarray, spec: DatasetSpec) -> None:
+    """Move class-1 rows by class_separation / sqrt(n_features) on every axis, in place."""
+    features += labels[..., None] * (spec.class_separation / math.sqrt(spec.n_features))
+
+
+def _flip(labels: np.ndarray, draws: np.ndarray, flip_rate) -> np.ndarray:
+    """Flip each label whose U[0,1) draw falls below the flip rate."""
+    return np.where(draws < flip_rate, 1 - labels, labels)
 
 
 def dirichlet_partition(
@@ -202,8 +264,7 @@ def corrupt_labels(
     """Flip each label independently with the given probability."""
     if not 0.0 <= flip_rate <= 1.0:
         raise ValueError(f"flip_rate must be in [0,1], got {flip_rate}")
-    flips = rng.random(len(data)) < flip_rate
-    labels = np.where(flips, 1 - data.labels, data.labels)
+    labels = _flip(data.labels, rng.random(len(data)), flip_rate)
     return LabeledDataset(features=data.features, labels=labels)
 
 

@@ -62,7 +62,16 @@ class ClientProfile:
 
 @dataclass(frozen=True)
 class FitnessWeights:
-    """Weights for the three fitness terms (accuracy, FPR, responsiveness)."""
+    """Weights for the three fitness terms (accuracy, FPR, responsiveness).
+
+    Each weight is at most 1e6.  In a drawn pool the accuracy and FPR are at
+    most 1 and 0.2 and the response time at least 0.1, so a client's fitness
+    is at most 1e6 * (1 + 0.2 + 10), about 1.1e7, in magnitude.  The most a
+    search then computes on it is aco's trail level (at most 10) times its
+    squared fitness gap, about 1e16; overflow starts at 1.8e308, and the
+    certificate's score limit at 2**500, about 3e150.  A finite weight
+    such as 1.8e307 overflows every session.
+    """
 
     w1: float = 1.0
     w2: float = 1.0
@@ -71,6 +80,9 @@ class FitnessWeights:
     def __post_init__(self) -> None:
         if not all(0 <= w < math.inf for w in (self.w1, self.w2, self.w3)):
             raise ValueError("fitness weights must be nonnegative and finite")
+        for name in ("w1", "w2", "w3"):
+            if getattr(self, name) > 1e6:
+                raise ValueError(f"{name} must be <= 1e6, got {getattr(self, name)}")
         if self.w1 == 0 and self.w2 == 0 and self.w3 == 0:
             raise ValueError("at least one fitness weight must be positive")
 

@@ -9,6 +9,7 @@ on a held-out balanced test set.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,8 +21,8 @@ from .datagen import (
     NoiseSpec,
     ParticipationSchedule,
     PartitionSpec,
-    corrupt_labels,
     dirichlet_partition,
+    gen_client_datasets,
     gen_dataset,
     participation_at,
     sample_client_profiles,
@@ -58,7 +59,7 @@ class ModelParams:
         weights = np.asarray(self.weights, dtype=float)
         if weights.ndim != 1:
             raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(weights)) or not math.isfinite(self.bias):
+        if not np.isfinite(weights).all() or not math.isfinite(self.bias):
             raise FloatingPointError("model parameters must be finite")
         object.__setattr__(self, "weights", weights)
 
@@ -79,7 +80,7 @@ class ClientState:
         if len(self.data) == 0:
             raise ValueError("client data must be nonempty")
         dist = np.asarray(self.class_distribution, dtype=float)
-        if not np.all(dist >= 0):
+        if not (dist >= 0).all():
             raise ValueError("class_distribution entries must be >= 0")
         if not abs(dist.sum() - 1.0) <= _SUM_TOL:
             raise ValueError("class_distribution must sum to 1")
@@ -127,9 +128,18 @@ def _residual(features, weights, bias, labels) -> np.ndarray:
     ``loss_gradient`` alike.  Below a logit of about -709, ``exp`` overflows
     to inf and the sigmoid is exactly 0; callers hold one
     ``np.errstate(over="ignore")`` around their calls, so that overflow raises
-    no warning without paying for a context on every minibatch.
+    no warning without paying for a context on every minibatch.  Computes
+    ``1 / (1 + exp(-(features @ weights + bias))) - labels`` in place in
+    the logits' array, one operation at a time in that order.
     """
-    return 1.0 / (1.0 + np.exp(-(features @ weights + bias))) - labels
+    z = features @ weights
+    z += bias
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.divide(1.0, z, out=z)
+    z -= labels
+    return z
 
 
 def loss_gradient(params: ModelParams, data: LabeledDataset):
@@ -161,46 +171,68 @@ def train_cohort(
 ) -> list:
     """One epoch of minibatch SGD per dataset, all from ``params``.
 
-    Bit for bit the same as training each dataset alone, in input order:
-    every member's shuffle is drawn first, in that order, and datasets of
-    equal length then train together as one ``(B, m, d)`` stack, with the
-    weights as ``(B, d, 1)`` and the biases as ``(B, 1, 1)``.  Each member's
-    step keeps the one-client association (``_residual``, then
-    ``x_b.T @ err`` scaled by ``lr`` and divided by the batch size, and the
-    bias stepped by ``lr`` times the residual's mean), so stacking only saves
-    the per-client call overhead.  A blow-up passes silently until
-    ``ModelParams`` rejects the non-finite result with ``FloatingPointError``.
-    Returns the members' params in input order.
+    Bit for bit the same as training each dataset alone, in input order
+    (see ``_train_stack``).  A blow-up passes silently until ``ModelParams``
+    rejects the non-finite result with ``FloatingPointError``.  Returns the
+    members' params in input order.
     """
-    if any(len(data) == 0 for data in datasets):
+    trained = _train_stack(params, datasets, lr, batch_size, rng)
+    return [ModelParams(weights=row[:-1], bias=float(row[-1])) for row in trained]
+
+
+def _train_stack(params: ModelParams, datasets, lr, batch_size, rng) -> np.ndarray:
+    """One epoch of SGD per dataset; one row per dataset, its weights then its bias.
+
+    Every member's shuffle is drawn first, in input order: one
+    ``rng.permuted`` call over the ``(r, m)`` block of each run of ``r``
+    consecutive members of length ``m``, which draws the same values, and
+    leaves the same generator state, as ``r`` calls to
+    ``rng.permutation(m)``.  Members of equal length then train together as
+    one ``(B, m, d)`` stack, gathered with one index, with the weights as
+    ``(B, d, 1)`` and the biases as ``(B, 1, 1)``.  Each member's step keeps
+    the one-client association (``_residual``, then ``x_b.T @ err`` scaled
+    by ``lr`` and divided by the batch size, and the bias stepped by ``lr``
+    times the residual's mean), so stacking only saves the per-client call
+    overhead.  Non-finite results come back as they are, for the caller to
+    check.
+    """
+    lengths = [len(data) for data in datasets]
+    if 0 in lengths:
         raise ValueError("cannot train on an empty dataset")
     if not lr > 0:
         raise ValueError("lr must be > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    orders = [rng.permutation(len(data)) for data in datasets]
+    # A length class's shuffles, in input order, are its runs' blocks in turn.
+    orders: dict = {}
+    for m, run in itertools.groupby(lengths):
+        block = rng.permuted(np.broadcast_to(np.arange(m), (len(list(run)), m)), axis=1)
+        orders.setdefault(m, []).append(block)
     groups: dict = {}
-    for i, data in enumerate(datasets):
-        groups.setdefault(len(data), []).append(i)
+    for i, m in enumerate(lengths):
+        groups.setdefault(m, []).append(i)
 
-    trained = [None] * len(datasets)
+    trained = np.empty((len(datasets), params.weights.size + 1))
     for m, members in groups.items():
         # Gather each member's shuffled rows once; a minibatch is then a slice.
         n = len(members)
-        flat = (np.stack([orders[i] for i in members]) + m * np.arange(n)[:, None]).ravel()
-        x = np.concatenate([datasets[i].features for i in members])[flat].reshape(n, m, -1)
-        y = np.concatenate([datasets[i].labels for i in members])[flat].reshape(n, m, 1)
+        flat = np.concatenate(orders[m])
+        flat += m * np.arange(n)[:, None]
+        x = np.concatenate([datasets[i].features for i in members]).take(flat.ravel(), axis=0)
+        y = np.concatenate([datasets[i].labels for i in members]).take(flat.ravel()).astype(float)
+        x, y = x.reshape(n, m, -1), y.reshape(n, m, 1)
+        x_t = x.transpose(0, 2, 1)
         w = np.repeat(params.weights[None, :, None], n, axis=0)
         b = np.full((n, 1, 1), params.bias)
         with np.errstate(over="ignore", invalid="ignore"):
             for lo in range(0, m, batch_size):
-                x_b = x[:, lo : lo + batch_size]
-                err = _residual(x_b, w, b, y[:, lo : lo + batch_size])
-                w -= lr * (x_b.transpose(0, 2, 1) @ err) / x_b.shape[1]
-                b -= lr * err.mean(axis=1, keepdims=True)
-        for j, i in enumerate(members):
-            trained[i] = ModelParams(weights=w[j, :, 0], bias=float(b[j, 0, 0]))
+                hi = lo + batch_size
+                err = _residual(x[:, lo:hi], w, b, y[:, lo:hi])
+                w -= lr * (x_t[:, :, lo:hi] @ err) / err.shape[1]
+                b -= lr * (np.add.reduce(err, axis=1, keepdims=True) / err.shape[1])
+        trained[members, :-1] = w[:, :, 0]
+        trained[members, -1] = b[:, 0, 0]
     return trained
 
 
@@ -209,18 +241,31 @@ def fed_avg(updates) -> ModelParams:
     if not updates:
         raise ValueError("fed_avg needs at least one update")
     dim = updates[0][0].weights.size
-    total = 0
-    w_acc = np.zeros(dim)
-    b_acc = 0.0
-    for params, count in updates:
+    stack = np.empty((len(updates), dim + 1))
+    for j, (params, count) in enumerate(updates):
         if count < 1:
             raise ValueError("sample counts must be >= 1")
         if params.weights.size != dim:
             raise ValueError("parameter vectors must have equal length")
-        w_acc += count * params.weights
-        b_acc += count * params.bias
-        total += count
-    return ModelParams(weights=w_acc / total, bias=b_acc / total)
+        stack[j, :dim] = params.weights
+        stack[j, dim] = params.bias
+    return _average(stack, [count for _, count in updates])
+
+
+def _average(stack: np.ndarray, counts) -> ModelParams:
+    """FedAvg of a ``(B, d + 1)`` stack of weights with the bias last.
+
+    Row 0 of ``terms`` is zeros and row ``j + 1`` is ``counts[j] * stack[j]``;
+    ``np.add.accumulate`` adds them row by row, so every element is summed
+    as ``0 + c0*w0 + c1*w1 + ...`` in member order, as a loop over the
+    members would.  A reduction may group a long column pairwise instead,
+    and starting from the first member would keep a sum of negative zeros
+    at ``-0.0``.
+    """
+    terms = np.zeros((len(counts) + 1, stack.shape[1]))
+    np.multiply(stack, np.asarray(counts, dtype=float)[:, None], out=terms[1:])
+    mean = np.add.accumulate(terms, axis=0)[-1] / sum(counts)
+    return ModelParams(weights=mean[:-1], bias=float(mean[-1]))
 
 
 def evaluate_global(params: ModelParams, test: LabeledDataset) -> GlobalMetrics:
@@ -235,10 +280,10 @@ def evaluate_global(params: ModelParams, test: LabeledDataset) -> GlobalMetrics:
         raise ValueError("test set must be nonempty")
     predicted = _logits(params, test.features) >= 0.0
     actual = test.labels == 1
-    tp = int(np.sum(predicted & actual))
-    fp = int(np.sum(predicted & ~actual))
-    fn = int(np.sum(~predicted & actual))
-    tn = int(np.sum(~predicted & ~actual))
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(actual)) - tp
+    tn = len(test) - tp - fp - fn
 
     accuracy = (tp + tn) / len(test)
     recall = tp / (tp + fn) if (tp + fn) > 0 else 1.0
@@ -270,7 +315,11 @@ def run_round(
     in ready-made, so its schedule, dataset, partition and noise go unread.
     Consumes the generator in a fixed order: one draw for the per-round
     optimizer seed, then one shuffle per selected client in ascending pool
-    index.  Returns the new global parameters and the round's record.
+    index.  The cohort trains as one stack (``_train_stack``), its weights
+    are checked for finiteness once, and the stack is averaged in
+    ``fed_avg``'s order (``_average``), so the round equals ``train_cohort``
+    then ``fed_avg`` bit for bit.  Returns the new global parameters and the
+    round's record.
     """
     if not pool:
         raise ValueError("pool must be nonempty")
@@ -287,12 +336,12 @@ def run_round(
     result = optimize(problem, replace(config.optimizer, seed=round_seed))
 
     members = sorted(result.best_subset)
-    trained = train_cohort(
-        global_params, [pool[i].data for i in members], config.lr, config.batch_size, rng
-    )
-    new_global = fed_avg(
-        [(params, len(pool[i].data)) for params, i in zip(trained, members)]
-    )
+    cohort = [pool[i].data for i in members]
+    # One row per member: its trained weights, then its bias.
+    trained = _train_stack(global_params, cohort, config.lr, config.batch_size, rng)
+    if not np.isfinite(trained).all():
+        raise FloatingPointError("model parameters must be finite")
+    new_global = _average(trained, [len(data) for data in cohort])
     metrics = evaluate_global(new_global, test)
     record = RoundRecord(
         epoch=epoch,
@@ -310,6 +359,17 @@ class SessionConfig:
 
     ``optimizer.seed`` is never read in a session: each round draws its own
     optimizer seed from the session's generator.
+
+    ``lr`` is at most 1e6.  The residual lies in [-1, 1] and a drawn
+    feature's magnitude is below 60 (a Gaussian draw beyond 40 has
+    probability under 1e-300, and the class shift is at most 20), so one
+    step moves a weight by at most ``60 * lr`` and the bias by at most
+    ``lr``.  FedAvg only averages, so after a session every parameter is
+    below ``6e7 * n_train_per_client * epochs``, which no session that fits
+    in memory brings near overflow at 1.8e308; ``lr`` 1e307 with batch size
+    1 did.  ``coverage_bonus`` is at most 1e6 too: the bonus term lies in
+    [0, coverage_bonus], so it adds at most 1e6 to a subset's score, on the
+    same footing as the fitness weights (see ``FitnessWeights``).
     """
 
     schedule: ParticipationSchedule
@@ -330,14 +390,22 @@ class SessionConfig:
             raise ValueError("select_fraction must be in (0, 1]")
         if not 0 <= self.coverage_bonus < math.inf:
             raise ValueError("coverage_bonus must be nonnegative and finite")
+        if self.coverage_bonus > 1e6:
+            raise ValueError(f"coverage_bonus must be <= 1e6, got {self.coverage_bonus}")
         if not 0 < self.lr < math.inf:
             raise ValueError("lr must be > 0 and finite")
+        if self.lr > 1e6:
+            raise ValueError(f"lr must be <= 1e6, got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
 
 def build_clients(config: SessionConfig, rng: np.random.Generator):
     """Materialize the session's master client list and its global test set.
+
+    The clients' data is drawn as one block (``gen_client_datasets``), bit
+    for bit what ``gen_dataset`` then ``corrupt_labels`` would draw client
+    by client; the test set is drawn after it.
 
     The master list covers the schedule's largest participation count so a
     decreasing schedule can start full; an epoch's pool is a prefix of this
@@ -352,19 +420,17 @@ def build_clients(config: SessionConfig, rng: np.random.Generator):
     else:
         proportions = [np.array([0.5, 0.5]) for _ in range(n_master)]
 
-    clients = []
-    for i in range(n_master):
-        data = gen_dataset(
-            config.dataset, config.dataset.n_train_per_client, proportions[i], rng
-        )
-        data = corrupt_labels(data, profiles[i].label_flip_rate, rng)
-        clients.append(
-            ClientState(
-                profile=profiles[i],
-                data=data,
-                class_distribution=proportions[i],
-            )
-        )
+    datasets = gen_client_datasets(
+        config.dataset,
+        config.dataset.n_train_per_client,
+        proportions,
+        [profile.label_flip_rate for profile in profiles],
+        rng,
+    )
+    clients = [
+        ClientState(profile=profile, data=data, class_distribution=mix)
+        for profile, data, mix in zip(profiles, datasets, proportions)
+    ]
     test = gen_dataset(config.dataset, config.dataset.n_test, (0.5, 0.5), rng)
     return clients, test
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -174,6 +175,49 @@ def test_non_finite_config_number_is_exit_one(
         assert captured.err == f"config error: {key} must be a finite number, got {value!r}\n"
         assert captured.out == ""
     assert not out_dir.exists()
+
+
+# The number keys with an upper limit of 1e6, each as a config entry.
+LIMITED_KEYS = {
+    "lr": lambda v: {"lr": v},
+    "coverage_bonus": lambda v: {"coverage_bonus": v},
+    "w1": lambda v: {"weights": {"w1": v, "w2": 1.0, "w3": 0.1}},
+    "w2": lambda v: {"weights": {"w1": 1.0, "w2": v, "w3": 0.1}},
+    "w3": lambda v: {"weights": {"w1": 1.0, "w2": 1.0, "w3": v}},
+}
+
+
+@pytest.mark.parametrize("value", [math.nextafter(1e6, math.inf), 1.8e307],
+                         ids=["next-float", "1.8e307"])
+@pytest.mark.parametrize("key", LIMITED_KEYS)
+def test_number_above_its_limit_is_exit_one(key, value, tiny_config_file, tmp_path, capsys):
+    # lr 1e307 with batch size 1, or w3 1.8e307, once passed validate and then
+    # failed every session with a FloatingPointError (exit 2).
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(LIMITED_KEYS[key](value), batch_size=1)
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "x"
+    for args in (
+        ["validate", "--config", str(tiny_config_file)],
+        ["run", "--config", str(tiny_config_file), "--out", str(out_dir)],
+    ):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {key} must be <= 1e6, got {value}\n"
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("key", LIMITED_KEYS)
+def test_number_at_its_limit_runs(key, tiny_config_file, tmp_path, capsys):
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(LIMITED_KEYS[key](1e6), batch_size=1)
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "x"
+    assert main(["validate", "--config", str(tiny_config_file)]) == 0
+    assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().err == ""
+    assert (out_dir / "summary.csv").is_file()
 
 
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):

@@ -266,8 +266,11 @@ def test_run_experiment_names_the_failed_session(monkeypatch):
 
 @pytest.mark.parametrize("parallel", [1, 2])
 def test_a_failed_session_names_its_cause_on_every_path(parallel):
-    # A process pool does not carry __cause__ back, so the message must.
-    config = tiny_config(experiment="noise", noise_levels=(0.25,), lr=1e307, batch_size=1)
+    # A process pool does not carry __cause__ back, so the message must.  Every
+    # weight a config accepts is far from overflow, so w3 is pushed past its
+    # limit after the check; each session's config, pickled or not, shares it.
+    config = tiny_config(experiment="noise", noise_levels=(0.25,))
+    object.__setattr__(config.weights, "w3", 1.8e307)
     with pytest.raises(RuntimeError, match=r"^session failed: .*: FloatingPointError: "):
         run_experiment(config, parallel=parallel)
 

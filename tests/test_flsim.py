@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ from swarmfl.datagen import (
     NoiseSpec,
     ParticipationSchedule,
     PartitionSpec,
+    corrupt_labels,
+    dirichlet_partition,
+    gen_dataset,
     sample_client_profiles,
 )
 from swarmfl.fitness import SubsetObjective, subset_objective
@@ -293,6 +297,17 @@ def test_train_cohort_equals_training_each_client_alone(cohort, batch_size, star
     assert np.array_equal(single.weights, trained[0].weights) and single.bias == trained[0].bias
 
 
+def test_one_permuted_block_equals_sequential_permutations():
+    # Training draws each run of k equal-length shuffles with one rng.permuted
+    # call; a numpy release that changes this breaks every session's bits.
+    for k in range(1, 13):
+        for m in range(1, 301):
+            rng, mirror = np.random.default_rng([k, m]), np.random.default_rng([k, m])
+            block = rng.permuted(np.broadcast_to(np.arange(m), (k, m)), axis=1)
+            assert np.array_equal(block, [mirror.permutation(m) for _ in range(k)])
+            assert rng.bit_generator.state == mirror.bit_generator.state
+
+
 def test_local_train_non_finite_result_raises():
     data = dataset([[1e10]], [0])
     with pytest.raises(FloatingPointError):
@@ -538,6 +553,62 @@ def test_build_clients_dirichlet_uses_drawn_proportions():
     assert np.std(dists[:, 0]) > 0.0  # not the flat iid split
 
 
+def reference_build_clients(config, rng):
+    """The per-client draws that ``build_clients`` must reproduce bit for bit."""
+    n = max(config.schedule.start, config.schedule.end)
+    profiles = sample_client_profiles(n, config.noise, rng)
+    if config.partition.mode == "dirichlet":
+        mixes = dirichlet_partition(config.partition.alpha, n, config.dataset.n_classes, rng)
+    else:
+        mixes = [np.array([0.5, 0.5])] * n
+    datasets = []
+    for profile, mix in zip(profiles, mixes):
+        data = gen_dataset(config.dataset, config.dataset.n_train_per_client, mix, rng)
+        datasets.append(corrupt_labels(data, profile.label_flip_rate, rng))
+    test = gen_dataset(config.dataset, config.dataset.n_test, (0.5, 0.5), rng)
+    return profiles, mixes, datasets, test
+
+
+POOLS = {
+    "iid": SessionConfig(
+        schedule=ParticipationSchedule("fixed", 25, 25, 1), noise=NoiseSpec(0.25)
+    ),
+    "dirichlet": SessionConfig(
+        schedule=ParticipationSchedule("fixed", 15, 15, 1),
+        dataset=DatasetSpec(n_train_per_client=37, n_test=101, n_features=3, class_separation=20),
+        partition=PartitionSpec(mode="dirichlet", alpha=0.3),
+    ),
+    "decreasing": SessionConfig(
+        schedule=ParticipationSchedule("decreasing", 12, 4, 5),
+        dataset=DatasetSpec(n_train_per_client=1, n_test=1, n_features=1),
+        noise=NoiseSpec(1.0),
+    ),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("pool", POOLS)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_build_clients_equals_drawing_each_client_alone(pool, seed):
+    config = POOLS[pool]
+    rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
+    clients, test = build_clients(config, rng)
+    profiles, mixes, datasets, expected_test = reference_build_clients(config, mirror)
+    assert len(clients) == len(datasets) == max(config.schedule.start, config.schedule.end)
+    for client, profile, mix, data in zip(clients, profiles, mixes, datasets):
+        assert client.profile == profile
+        assert same_bits(client.class_distribution, mix)
+        assert same_bits(client.data.features, data.features)
+        assert same_bits(client.data.labels, data.labels)
+    assert same_bits(test.features, expected_test.features)
+    assert same_bits(test.labels, expected_test.labels)
+    assert rng.bit_generator.state == mirror.bit_generator.state
+
+
 def test_run_session_fixed_schedule():
     config = SessionConfig(
         schedule=ParticipationSchedule("fixed", 5, 5, 10),
@@ -580,14 +651,15 @@ def test_run_session_is_deterministic():
 @pytest.mark.parametrize("lr, separation", [(1e306, 20.0), (1e307, 2.0), (5e307, 20.0)])
 def test_run_session_overflow_raises_without_warning(lr, separation):
     # Each of these warned (overflow or invalid value) before it stopped or scored.
+    # SessionConfig now rejects an lr above 1e6, so it is set past the check.
     config = SessionConfig(
         schedule=ParticipationSchedule("fixed", 4, 4, 3),
         dataset=DatasetSpec(n_train_per_client=20, n_test=50, n_features=3,
                             class_separation=separation),
         optimizer=FAST_OPT,
-        lr=lr,
         batch_size=1,
     )
+    object.__setattr__(config, "lr", lr)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(FloatingPointError):
@@ -611,6 +683,14 @@ def test_session_config_rejects_nan(field):
     sched = ParticipationSchedule("fixed", 5, 5, 2)
     with pytest.raises(ValueError):
         SessionConfig(schedule=sched, **{field: np.nan})
+
+
+@pytest.mark.parametrize("field", ["coverage_bonus", "lr"])
+def test_session_config_takes_at_most_1e6(field):
+    sched = ParticipationSchedule("fixed", 5, 5, 2)
+    assert getattr(SessionConfig(schedule=sched, **{field: 1e6}), field) == 1e6
+    with pytest.raises(ValueError, match=rf"^{field} must be <= 1e6, got 1000000.0000000001$"):
+        SessionConfig(schedule=sched, **{field: math.nextafter(1e6, math.inf)})
 
 
 @pytest.mark.parametrize("field", ["coverage_bonus", "lr"])

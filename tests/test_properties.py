@@ -1,6 +1,7 @@
 """Properties over generated inputs: strict parsing, tiny grids that run clean,
 the selectors' invariants, searches stopped at a certified optimum that return
-the full search's result, and cohort training that matches one-client training.
+the full search's result, cohort training that matches one-client training,
+and FedAvg that matches the member-by-member sum.
 
 Runs are derandomized, with no example database and fixed example counts,
 so the suite sees the same inputs every time.
@@ -24,7 +25,7 @@ from swarmfl.fitness import (
     client_fitness,
     subset_objective,
 )
-from swarmfl.flsim import ModelParams, train_cohort
+from swarmfl.flsim import ModelParams, fed_avg, train_cohort
 from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, optimize
 from swarmfl.swarm.support import BatchObjective
 
@@ -98,12 +99,24 @@ POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
 
 
+def mostly_at_most(limit, exclude_min=False):
+    """A float from 0 up to ``limit`` about 19 times in 20, else any finite one from 0.
+
+    SessionConfig and FitnessWeights take at most 1e6 for five keys; keeping
+    each within it only half the time would leave one config in 32 valid.
+    """
+    within = st.floats(0.0, limit, exclude_min=exclude_min)
+    anywhere = POSITIVE if exclude_min else NONNEGATIVE
+    return st.integers(0, 19).flatmap(lambda i: anywhere if i == 0 else within)
+
+
 @st.composite
 def tiny_configs(draw):
     """A config at tiny sizes whose real numbers range over all finite floats.
 
     At most 6 clients, 3 epochs, population 4 and 3 iterations; only the
-    dynamic family's ramp is fixed, at 5 to 25 clients.
+    dynamic family's ramp is fixed, at 5 to 25 clients.  A key with an upper
+    limit is drawn mostly within it, so that most examples validate.
     """
     experiment = draw(st.sampled_from(EXPERIMENTS))
     counts = st.lists(st.integers(2, 6), min_size=1, max_size=2, unique=True)
@@ -116,10 +129,10 @@ def tiny_configs(draw):
         "runs": draw(st.integers(1, 2)),
         "base_seed": draw(st.integers(0, 2**64 - 1)),
         "select_fraction": draw(st.floats(0.0, 1.0, exclude_min=True)),
-        "coverage_bonus": draw(NONNEGATIVE),
-        "lr": draw(POSITIVE),
+        "coverage_bonus": draw(mostly_at_most(1e6)),
+        "lr": draw(mostly_at_most(1e6, exclude_min=True)),
         "batch_size": draw(st.integers(1, 40)),
-        "weights": {w: draw(NONNEGATIVE) for w in ("w1", "w2", "w3")},
+        "weights": {w: draw(mostly_at_most(1e6)) for w in ("w1", "w2", "w3")},
         "optimizer": {"population": draw(st.integers(2, 4)), "iterations": draw(st.integers(1, 3))},
         "dataset": {
             "n_train_per_client": draw(st.integers(1, 12)),
@@ -276,3 +289,44 @@ def test_train_cohort_equals_training_each_member_alone(cohort, batch_size, lr, 
         assert np.array_equal(out.weights, w)
         assert out.bias == b
     assert rng.bit_generator.state == mirror.bit_generator.state
+
+
+def reference_fed_avg(updates):
+    """The member-by-member FedAvg loop that ``fed_avg`` must reproduce bit for bit."""
+    w_acc = np.zeros(updates[0][0].weights.size)
+    b_acc = 0.0
+    total = 0
+    for params, count in updates:
+        w_acc += count * params.weights
+        b_acc += count * params.bias
+        total += count
+    return w_acc / total, b_acc / total
+
+
+@hypothesis.settings(max_examples=300, **SETTINGS)
+@hypothesis.given(
+    k=st.integers(1, 12),
+    d=st.integers(0, 12),
+    scale=st.sampled_from([1.0, 1e-300, 1e150, 1e300]),
+    zero_column=st.integers(-1, 12),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fed_avg_equals_the_member_by_member_sum(k, d, scale, zero_column, seed):
+    # Normal draws times the scale, about one entry in five -0.0, and maybe one
+    # column (the bias when it is d) all -0.0.  Up to 1e300 in magnitude, 12
+    # members of count up to 1000 cannot overflow.  At d = 0, a bias alone,
+    # the stack is one column, which np.add.reduce would sum pairwise.
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, d + 1)) * scale
+    rows[rng.random((k, d + 1)) < 0.2] = -0.0
+    if zero_column <= d:
+        rows[:, zero_column] = -0.0
+    counts = rng.integers(1, 1001, k).tolist()
+    updates = [
+        (ModelParams(weights=row[:d], bias=float(row[d])), count)
+        for row, count in zip(rows, counts)
+    ]
+    weights, bias = reference_fed_avg(updates)
+    got = fed_avg(updates)
+    assert got.weights.tobytes() == weights.tobytes()
+    assert got.bias.hex() == bias.hex()

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -461,8 +462,13 @@ def test_no_certificate_with_non_finite_fitness(w3):
 def test_no_certificate_where_a_search_could_overflow():
     # Without the limit, aco stopped here before its trail levels grew far
     # enough to overflow tau * eta**2, where the full search raises.
-    profiles = make_objective(25, seed=20).profiles
-    huge = SubsetObjective(profiles=profiles, weights=FitnessWeights(5e153, 1.0, 0.1))
+    # Fitness weights stop at 1e6, but a response time near zero still gives
+    # fitness near 1e153: 0.1 / (t / 1e154) for t in [0.1, 1].
+    profiles = [
+        replace(p, response_time=p.response_time / 1e154)
+        for p in make_objective(25, seed=20).profiles
+    ]
+    huge = SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 1.0, 0.1))
     assert BatchObjective(huge, k=10, budget=1).certified is None
     with np.errstate(over="raise"), pytest.raises(FloatingPointError):
         optimize(SelectionProblem(25, 10, huge), OptimizerParams("aco", seed=0))
