@@ -9,7 +9,6 @@ on a held-out balanced test set.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -171,69 +170,54 @@ def train_cohort(
 ) -> list:
     """One epoch of minibatch SGD per dataset, all from ``params``.
 
-    Bit for bit the same as training each dataset alone, in input order
-    (see ``_train_stack``).  A blow-up passes silently until ``ModelParams``
-    rejects the non-finite result with ``FloatingPointError``.  Returns the
-    members' params in input order.
+    Each dataset in input order draws ``rng.permutation(len(data))`` and
+    trains alone, so this is ``local_train`` on each in turn.  A blow-up
+    passes silently until ``ModelParams`` rejects the non-finite result with
+    ``FloatingPointError``.  Returns the members' params in input order.
     """
-    trained = _train_stack(params, datasets, lr, batch_size, rng)
+    trained = [
+        _train_stack(params, [data], rng.permutation(len(data))[None], lr, batch_size)[0]
+        for data in datasets
+    ]
     return [ModelParams(weights=row[:-1], bias=float(row[-1])) for row in trained]
 
 
-def _train_stack(params: ModelParams, datasets, lr, batch_size, rng) -> np.ndarray:
+def _train_stack(params: ModelParams, datasets, orders, lr, batch_size) -> np.ndarray:
     """One epoch of SGD per dataset; one row per dataset, its weights then its bias.
 
-    Every member's shuffle is drawn first, in input order: one
-    ``rng.permuted`` call over the ``(r, m)`` block of each run of ``r``
-    consecutive members of length ``m``, which draws the same values, and
-    leaves the same generator state, as ``r`` calls to
-    ``rng.permutation(m)``.  Members of equal length then train together as
-    one ``(B, m, d)`` stack, gathered with one index, with the weights as
-    ``(B, d, 1)`` and the biases as ``(B, 1, 1)``.  Each member's step keeps
-    the one-client association (``_residual``, then ``x_b.T @ err`` scaled
-    by ``lr`` and divided by the batch size, and the bias stepped by ``lr``
-    times the residual's mean), so stacking only saves the per-client call
-    overhead.  Non-finite results come back as they are, for the caller to
-    check.
+    ``orders`` is the drawn ``(k, m)`` shuffle block: row ``i`` shuffles
+    ``datasets[i]``, and every dataset holds ``m`` samples.  The members
+    train together as one ``(k, m, d)`` stack, gathered with one index, with
+    the weights as ``(k, d, 1)`` and the biases as ``(k, 1, 1)``.  Each
+    member's step keeps the one-client association (``_residual``, then
+    ``x_b.T @ err`` scaled by ``lr`` and divided by the batch size, and the
+    bias stepped by ``lr`` times the residual's mean), so stacking only saves
+    the per-client call overhead.  Non-finite results come back as they are,
+    for the caller to check.
     """
-    lengths = [len(data) for data in datasets]
-    if 0 in lengths:
+    k, m = orders.shape
+    if m == 0:
         raise ValueError("cannot train on an empty dataset")
     if not lr > 0:
         raise ValueError("lr must be > 0")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
 
-    # A length class's shuffles, in input order, are its runs' blocks in turn.
-    orders: dict = {}
-    for m, run in itertools.groupby(lengths):
-        block = rng.permuted(np.broadcast_to(np.arange(m), (len(list(run)), m)), axis=1)
-        orders.setdefault(m, []).append(block)
-    groups: dict = {}
-    for i, m in enumerate(lengths):
-        groups.setdefault(m, []).append(i)
-
-    trained = np.empty((len(datasets), params.weights.size + 1))
-    for m, members in groups.items():
-        # Gather each member's shuffled rows once; a minibatch is then a slice.
-        n = len(members)
-        flat = np.concatenate(orders[m])
-        flat += m * np.arange(n)[:, None]
-        x = np.concatenate([datasets[i].features for i in members]).take(flat.ravel(), axis=0)
-        y = np.concatenate([datasets[i].labels for i in members]).take(flat.ravel()).astype(float)
-        x, y = x.reshape(n, m, -1), y.reshape(n, m, 1)
-        x_t = x.transpose(0, 2, 1)
-        w = np.repeat(params.weights[None, :, None], n, axis=0)
-        b = np.full((n, 1, 1), params.bias)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, m, batch_size):
-                hi = lo + batch_size
-                err = _residual(x[:, lo:hi], w, b, y[:, lo:hi])
-                w -= lr * (x_t[:, :, lo:hi] @ err) / err.shape[1]
-                b -= lr * (np.add.reduce(err, axis=1, keepdims=True) / err.shape[1])
-        trained[members, :-1] = w[:, :, 0]
-        trained[members, -1] = b[:, 0, 0]
-    return trained
+    # Gather each member's shuffled rows once; a minibatch is then a slice.
+    flat = (orders + m * np.arange(k)[:, None]).ravel()
+    x = np.concatenate([data.features for data in datasets]).take(flat, axis=0)
+    y = np.concatenate([data.labels for data in datasets]).take(flat).astype(float)
+    x, y = x.reshape(k, m, -1), y.reshape(k, m, 1)
+    x_t = x.transpose(0, 2, 1)
+    w = np.repeat(params.weights[None, :, None], k, axis=0)
+    b = np.full((k, 1, 1), params.bias)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, m, batch_size):
+            hi = lo + batch_size
+            err = _residual(x[:, lo:hi], w, b, y[:, lo:hi])
+            w -= lr * (x_t[:, :, lo:hi] @ err) / err.shape[1]
+            b -= lr * (np.add.reduce(err, axis=1, keepdims=True) / err.shape[1])
+    return np.concatenate([w[:, :, 0], b[:, 0]], axis=1)
 
 
 def fed_avg(updates) -> ModelParams:
@@ -300,6 +284,20 @@ def selection_size(select_fraction: float, pool_size: int) -> int:
     return min(k, pool_size)
 
 
+def _draw_round(rng: np.random.Generator, k: int, m: int):
+    """A round's whole draw from the session stream: its optimizer seed, then shuffles.
+
+    One uint64 seeds the round's optimizer, then one ``rng.permuted`` call
+    fills a ``(k, m)`` block, row ``i`` for the ``i``-th selected client in
+    ascending pool index.  That call draws the same values, and leaves the
+    same state, as ``k`` calls to ``rng.permutation(m)``.  The draw does not
+    depend on which clients are selected, so every selector meets the same
+    stream.
+    """
+    seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+    return seed, rng.permuted(np.broadcast_to(np.arange(m), (k, m)), axis=1)
+
+
 def run_round(
     global_params: ModelParams,
     pool,
@@ -313,17 +311,21 @@ def run_round(
     Reads the optimizer, fitness weights, selection fraction, coverage bonus,
     learning rate and batch size from ``config``; the pool and test set come
     in ready-made, so its schedule, dataset, partition and noise go unread.
-    Consumes the generator in a fixed order: one draw for the per-round
-    optimizer seed, then one shuffle per selected client in ascending pool
-    index.  The cohort trains as one stack (``_train_stack``), its weights
-    are checked for finiteness once, and the stack is averaged in
-    ``fed_avg``'s order (``_average``), so the round equals ``train_cohort``
-    then ``fed_avg`` bit for bit.  Returns the new global parameters and the
-    round's record.
+    Every client in the pool must hold the same number of samples.  The
+    round takes its draws (``_draw_round``) before it selects,
+    trains the cohort as one stack, checks the weights for finiteness once
+    and averages them in ``fed_avg``'s order.  Returns the new global
+    parameters and the round's record.
     """
     if not pool:
         raise ValueError("pool must be nonempty")
+    sizes = {len(client.data) for client in pool}
+    if 0 in sizes:
+        raise ValueError("cannot train on an empty dataset")
+    if len(sizes) > 1:
+        raise ValueError(f"pool clients must hold equal data sizes, got {sorted(sizes)}")
     k = selection_size(config.select_fraction, len(pool))
+    round_seed, orders = _draw_round(rng, k, sizes.pop())
 
     objective = SubsetObjective(
         profiles=[c.profile for c in pool],
@@ -332,13 +334,10 @@ def run_round(
         class_distributions=[c.class_distribution for c in pool],
     )
     problem = SelectionProblem(n_clients=len(pool), k=k, objective=objective)
-    round_seed = int(rng.integers(0, 2**64, dtype=np.uint64))
     result = optimize(problem, replace(config.optimizer, seed=round_seed))
 
-    members = sorted(result.best_subset)
-    cohort = [pool[i].data for i in members]
-    # One row per member: its trained weights, then its bias.
-    trained = _train_stack(global_params, cohort, config.lr, config.batch_size, rng)
+    cohort = [pool[i].data for i in sorted(result.best_subset)]
+    trained = _train_stack(global_params, cohort, orders, config.lr, config.batch_size)
     if not np.isfinite(trained).all():
         raise FloatingPointError("model parameters must be finite")
     new_global = _average(trained, [len(data) for data in cohort])

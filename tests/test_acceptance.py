@@ -302,6 +302,7 @@ def _final_accuracy_random(seed):
     return evaluate_global(params, test).accuracy
 
 
+@pytest.mark.slow
 def test_acceptance_6_selection_beats_random(capsys):
     start = time.monotonic()
     guided = float(np.mean([_final_accuracy_guided(s) for s in EFFICACY_SEEDS]))
@@ -325,6 +326,7 @@ def test_acceptance_6_selection_beats_random(capsys):
 # --- 7: reporting-noise degradation, per algorithm ------------------------------------
 
 
+@pytest.mark.slow
 def test_acceptance_7_noise_degrades_gracefully(capsys):
     chains = {}
     all_ok = True

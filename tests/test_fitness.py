@@ -224,6 +224,18 @@ def test_subset_coverage_bonus_balanced_pair():
     assert subset_objective(obj1, {0, 1}) == pytest.approx(base + 1.0, abs=1e-12)
 
 
+def test_subset_coverage_bonus_with_a_class_share_of_zero():
+    # Both members hold only class 0, so the pooled share of class 1 is 0,
+    # which adds 0 to the entropy rather than taking log(0).
+    a, b = profile(), profile(acc=0.6)
+    obj = SubsetObjective(
+        profiles=[a, b],
+        coverage_bonus=0.5,
+        class_distributions=[(1.0, 0.0), (1.0, 0.0)],
+    )
+    assert subset_objective(obj, {0, 1}) == subset_objective(SubsetObjective([a, b]), {0, 1})
+
+
 def test_subset_permutation_and_nonmember_independence():
     rng = np.random.default_rng(8)
     profiles = [random_profile(rng) for _ in range(6)]

@@ -19,9 +19,10 @@ from swarmfl.datagen import (
     corrupt_labels,
     dirichlet_partition,
     gen_dataset,
+    participation_at,
     sample_client_profiles,
 )
-from swarmfl.fitness import SubsetObjective, subset_objective
+from swarmfl.fitness import ClientProfile, SubsetObjective, subset_objective
 from swarmfl.flsim import (
     ClientState,
     GlobalMetrics,
@@ -297,9 +298,16 @@ def test_train_cohort_equals_training_each_client_alone(cohort, batch_size, star
     assert np.array_equal(single.weights, trained[0].weights) and single.bias == trained[0].bias
 
 
+def test_train_cohort_rejects_an_empty_member():
+    empty = dataset(np.zeros((0, 3)), [])
+    with pytest.raises(ValueError, match="cannot train on an empty dataset"):
+        train_cohort(ModelParams.zeros(3), [random_dataset(5, 3, 17), empty], 0.1, 4,
+                     np.random.default_rng(18))
+
+
 def test_one_permuted_block_equals_sequential_permutations():
-    # Training draws each run of k equal-length shuffles with one rng.permuted
-    # call; a numpy release that changes this breaks every session's bits.
+    # A round draws its k shuffles with one rng.permuted call; a numpy
+    # release that changes this breaks every session's bits.
     for k in range(1, 13):
         for m in range(1, 301):
             rng, mirror = np.random.default_rng([k, m]), np.random.default_rng([k, m])
@@ -524,6 +532,97 @@ def test_run_round_rejects_empty_pool():
     config, _, test = small_pool(3, 23)
     with pytest.raises(ValueError):
         run_round(ModelParams.zeros(4), [], config, test, np.random.default_rng(24))
+
+
+def test_run_round_trains_the_cohort_in_ascending_pool_index():
+    # Clients 7 and 8 are the clear top 2, and frozenset({7, 8}) iterates 8
+    # first.  The round reads the sample count from the pool, not config.dataset.
+    config, clients, test = small_pool(12, 28)
+    best = ClientProfile(det_accuracy=0.9, false_positive_rate=0.0, response_time=0.1,
+                         reported_accuracy=1.0)
+    for i in (7, 8):
+        clients[i] = replace(clients[i], profile=best)
+    config = replace(config, select_fraction=2 / 12, dataset=DatasetSpec(),
+                     optimizer=OptimizerParams("aco", population=8, iterations=15))
+    new_params, record = run_round(
+        ModelParams.zeros(4), clients, config, test, np.random.default_rng(29)
+    )
+    assert list(record.selected) == [8, 7]
+    assert record.epoch == 0
+
+    mirror = np.random.default_rng(29)
+    mirror.integers(0, 2**64, dtype=np.uint64)  # the round's selection seed
+    expected = fed_avg(
+        [(local_train(ModelParams.zeros(4), clients[i].data, 0.1, 32, mirror), 50) for i in (7, 8)]
+    )
+    assert np.array_equal(new_params.weights, expected.weights)
+    assert new_params.bias == expected.bias
+
+
+def test_run_round_rejects_unequal_data_sizes():
+    config, clients, test = small_pool(3, 25)
+    short = SimpleNamespace(profile=clients[0].profile, data=random_dataset(20, 4, 26),
+                            class_distribution=clients[0].class_distribution)
+    rng = np.random.default_rng(27)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="equal data sizes"):
+        run_round(ModelParams.zeros(4), [*clients, short], config, test, rng)
+    assert rng.bit_generator.state == before
+
+
+def predraw_session(config, seed):
+    """A session's stream drawn without selecting or training.
+
+    ``build_clients``, then per epoch one uint64 (the round's optimizer seed)
+    and one ``rng.permuted`` call over a ``(k, m)`` block.  Returns the seeds
+    and the generator state after ``build_clients`` and after every round.
+    """
+    rng = np.random.default_rng(seed)
+    build_clients(config, rng)
+    m = config.dataset.n_train_per_client
+    seeds, states = [], [rng.bit_generator.state]
+    for epoch in range(config.schedule.epochs):
+        k = selection_size(config.select_fraction, participation_at(config.schedule, epoch))
+        seeds.append(int(rng.integers(0, 2**64, dtype=np.uint64)))
+        rng.permuted(np.broadcast_to(np.arange(m), (k, m)), axis=1)
+        states.append(rng.bit_generator.state)
+    return seeds, states
+
+
+@pytest.mark.parametrize("algorithm", ["aco", "gwo", "bee", "iwd"])
+@pytest.mark.parametrize("coverage_bonus", [0.0, 0.5])
+@pytest.mark.parametrize("partition", ["iid", "dirichlet"])
+@pytest.mark.parametrize("schedule", [("fixed", 6, 6), ("increasing", 3, 8), ("decreasing", 8, 3)],
+                         ids=["fixed", "increasing", "decreasing"])
+def test_session_stream_does_not_depend_on_selection(
+    monkeypatch, schedule, partition, coverage_bonus, algorithm
+):
+    config = SessionConfig(
+        schedule=ParticipationSchedule(*schedule, 4),
+        dataset=DatasetSpec(n_train_per_client=20, n_test=50, n_features=3),
+        partition=PartitionSpec(partition),
+        optimizer=OptimizerParams(algorithm, population=8, iterations=8),
+        coverage_bonus=coverage_bonus,
+    )
+    seeds, states = predraw_session(config, seed=35)
+
+    real_optimize = flsim.optimize
+    round_seeds = []
+
+    def recording_optimize(problem, params):
+        round_seeds.append(params.seed)
+        return real_optimize(problem, params)
+
+    monkeypatch.setattr(flsim, "optimize", recording_optimize)
+    rng = np.random.default_rng(35)
+    clients, test = build_clients(config, rng)
+    assert rng.bit_generator.state == states[0]
+    params = ModelParams.zeros(3)
+    for epoch in range(config.schedule.epochs):
+        pool = clients[: participation_at(config.schedule, epoch)]
+        params, _ = run_round(params, pool, config, test, rng, epoch=epoch)
+        assert round_seeds[epoch] == seeds[epoch]
+        assert rng.bit_generator.state == states[epoch + 1]
 
 
 def test_build_clients_covers_largest_pool():

@@ -39,6 +39,8 @@ except ImportError:  # numpy < 2
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 
+pytestmark = pytest.mark.slow
+
 RUN_CONFIG = {
     "experiment": "noise",
     "algorithms": ["gwo", "pso", "bat", "fish"],

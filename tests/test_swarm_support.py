@@ -443,6 +443,32 @@ def test_no_certificate_with_a_gap_inside_the_bound():
     assert BatchObjective(outside, k=1, budget=1).certified == {1}
 
 
+def test_certificate_bound_grows_with_k_squared():
+    # At k = 10 the bound is 2 * 10 * 11 = 220 units of 2**-52 * M, with M = 1.
+    # A gap of 100 units lies inside it; 2 * 11 / 10 units would not hold it.
+    def tenth_to_eleventh(gap):
+        return scored_objective([1.0] * 10 + [1.0 - gap * 2.0**-52, 0.5])
+
+    assert BatchObjective(tenth_to_eleventh(100), k=10, budget=1).certified is None
+    assert BatchObjective(tenth_to_eleventh(220), k=10, budget=1).certified is None
+    assert BatchObjective(tenth_to_eleventh(221), k=10, budget=1).certified == set(range(10))
+
+
+@pytest.mark.parametrize("gap_exponent, certified", [(-50, None), (-49, {0})])
+def test_certificate_needs_a_gap_strictly_above_the_bound(gap_exponent, certified):
+    # With k = 1 and fitness at most 1 the bound is 2 * 1 * 2 * 2**-52 = 2**-50.
+    profiles = [
+        ClientProfile(
+            det_accuracy=0.8, false_positive_rate=fpr, response_time=1.0, reported_accuracy=1.0
+        )
+        for fpr in (0.0, 2.0**gap_exponent)
+    ]
+    objective = SubsetObjective(profiles=profiles, weights=FitnessWeights(1.0, 1.0, 0.0))
+    batch = BatchObjective(objective, k=1, budget=1)
+    assert batch.fitness.tolist() == [1.0, 1.0 - 2.0**gap_exponent]
+    assert batch.certified == certified
+
+
 @pytest.mark.parametrize("w3", [0.1, 0.0], ids=["inf", "nan"])
 def test_no_certificate_with_non_finite_fitness(w3):
     # A response time near zero overflows 1 / response_time; times w3 = 0 it is NaN.
