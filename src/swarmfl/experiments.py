@@ -532,8 +532,12 @@ def load_config(path) -> ExperimentConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError("config is not valid JSON: nested too deeply") from exc
     return parse_config(raw)
 
 

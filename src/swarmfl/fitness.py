@@ -118,7 +118,17 @@ class SubsetObjective:
                     "class_distributions length must match profiles "
                     f"({len(dists)} vs {len(self.profiles)})"
                 )
+            # The coverage term divides by ln(C) and pools the mixes
+            # column-wise, so every mix needs the same C >= 2 classes.
+            n_classes = len(dists[0])
+            if n_classes < 2:
+                raise ValueError("class_distributions need at least 2 classes")
             for i, dist in enumerate(dists):
+                if len(dist) != n_classes:
+                    raise ValueError(
+                        f"class_distributions[{i}] has {len(dist)} classes,"
+                        f" expected {n_classes}"
+                    )
                 if not all(p >= 0 for p in dist):
                     raise ValueError(f"class_distributions[{i}] has negative entry")
                 if not abs(sum(dist) - 1.0) <= _SUM_TOL:

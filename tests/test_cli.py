@@ -350,6 +350,32 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "config error: cannot read config file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        # A UTF-16 byte-order mark is not UTF-8.
+        (b"\xff\xfe{}", "config error: config is not UTF-8 text: "),
+        # Deeper than the JSON decoder's recursion allows.
+        (b"[" * 100_000, "config error: config is not valid JSON: nested too deeply\n"),
+    ],
+    ids=["not-utf8", "deep"],
+)
+def test_unreadable_config_is_exit_one(command, content, message, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(bad)]
+    if command == "run":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message)
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 def test_run_output_failure_is_exit_two(tiny_config_file, tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file, not a directory", encoding="utf-8")

@@ -172,6 +172,28 @@ def test_objective_validation():
 
 
 @pytest.mark.parametrize(
+    "dists, message",
+    [
+        ([(0.5, 0.5), (1.0,)], r"class_distributions\[1\] has 1 classes, expected 2"),
+        ([(1.0,), (0.5, 0.5)], "at least 2 classes"),
+        ([(0.5, 0.5), (0.2, 0.3, 0.5)], r"class_distributions\[1\] has 3 classes"),
+        ([(1.0,), (1.0,)], "at least 2 classes"),
+        ([(), ()], "at least 2 classes"),
+    ],
+    ids=["shorter", "shorter-first", "longer", "one-class", "no-class"],
+)
+def test_objective_rejects_mixes_the_coverage_term_cannot_score(dists, message):
+    # Unequal lengths broke the pooled sum and one class divided by ln(1) = 0,
+    # in subset_objective and in optimize alike, after construction.
+    with pytest.raises(ValueError, match=message):
+        SubsetObjective(
+            profiles=[profile(), profile()], coverage_bonus=0.5, class_distributions=dists
+        )
+    # Without the bonus the mixes are never read.
+    SubsetObjective(profiles=[profile(), profile()], class_distributions=dists)
+
+
+@pytest.mark.parametrize(
     "bonus, dists",
     [
         (math.nan, None),

@@ -18,6 +18,7 @@ from swarmfl.swarm import (
     SelectionProblem,
     bat,
     bee,
+    cuckoo,
     fish,
     glowworm,
     gwo,
@@ -31,6 +32,7 @@ from swarmfl.swarm.support import (
     decode_rows,
     fold_into_box,
     keyed_sample,
+    levy_sample,
 )
 
 EVAL_FACTORS = {
@@ -806,6 +808,32 @@ def reference_pso_run(n, k, population, iterations, objective, rng, kicks):
         yield
 
 
+def reference_cuckoo_run(n, k, population, iterations, objective, rng):
+    # Lévy candidates and rebuilt nests scored in two calls, the nests drawn
+    # after greedy replacement; improved nests taken by boolean indexing.
+    n_abandon = int(np.floor(cuckoo.ABANDON_FRACTION * population + 0.5))
+    x = rng.random((population, n))
+    values = objective.value_positions(x)
+    b = int(np.argmax(values))
+    best_x = x[b].copy()
+    best_val = float(values[b])
+    for _ in range(iterations):
+        steps = levy_sample(cuckoo.LEVY_BETA, rng, (population, n))
+        cand = fold_into_box(x + cuckoo.STEP_SCALE * steps * (x - best_x))
+        cand_values = objective.value_positions(cand)
+        improved = cand_values > values
+        x[improved] = cand[improved]
+        values[improved] = cand_values[improved]
+        worst = np.argsort(values, kind="stable")[:n_abandon]
+        x[worst] = rng.random((n_abandon, n))
+        values[worst] = objective.value_positions(x[worst])
+        b = int(np.argmax(values))
+        if values[b] > best_val:
+            best_x = x[b].copy()
+            best_val = float(values[b])
+        yield
+
+
 # 3/3 has a single subset and population 2 only two wolves, so both reach
 # gwo's leader padding.
 FUSED_CASES = [
@@ -869,8 +897,25 @@ def test_pso_matches_clip_and_uniform_loop(population, monkeypatch):
     assert sum(kicks) > 0
 
 
+@pytest.mark.parametrize("population", [2, 3, 7, 20])
+def test_cuckoo_matches_two_call_loop(population, monkeypatch):
+    # Populations 2 and 3 rebuild one nest, 7 two and 20 five.  The 10/3, 3/3
+    # and 2/1 cases stop at the certificate; the 12/4 coverage case cannot.
+    stopped = 0
+    for seed, problem in enumerate(FUSED_CASES):
+        params = OptimizerParams("cuckoo", population=population, seed=seed)
+        got, got_scored = run_recording(problem, params, monkeypatch)
+        expected, expected_scored = run_recording(
+            problem, params, monkeypatch, reference_cuckoo_run
+        )
+        assert_same_result(got, expected)
+        assert got_scored == expected_scored
+        stopped += len(got_scored) - 1 < params.iterations
+    assert stopped > 0
+
+
 @pytest.mark.parametrize(
-    "name, calls_per_iteration", [("pso", 1), ("bat", 1), ("fish", 4), ("bee", 3)]
+    "name, calls_per_iteration", [("pso", 1), ("bat", 1), ("cuckoo", 1), ("fish", 4), ("bee", 3)]
 )
 def test_batched_selectors_make_few_calls(name, calls_per_iteration, monkeypatch):
     calls = []
