@@ -14,6 +14,7 @@ import json
 import math
 import os
 import re
+import reprlib
 import statistics
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from pathlib import Path
@@ -116,13 +117,13 @@ class ExperimentConfig:
         if self.experiment not in EXPERIMENTS:
             raise ConfigError(
                 f"experiment must be one of {', '.join(EXPERIMENTS)}; "
-                f"got {self.experiment!r}"
+                f"got {reprlib.repr(self.experiment)}"
             )
         if not self.algorithms:
             raise ConfigError("algorithms must be a nonempty list")
         unknown = [a for a in self.algorithms if a not in ALGORITHM_INDEX]
         if unknown:
-            raise ConfigError(f"unknown algorithms: {unknown}")
+            raise ConfigError(f"unknown algorithms: {reprlib.repr(unknown)}")
         repeated = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
         if repeated:
             raise ConfigError(f"algorithms repeated: {', '.join(repeated)}")
@@ -178,7 +179,7 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
         if config.schedule_kind not in (None, *bounds):
             raise ConfigError(
                 "schedule_kind must be increasing or decreasing, "
-                f"got {config.schedule_kind!r}"
+                f"got {reprlib.repr(config.schedule_kind)}"
             )
         if config.client_counts is not None:
             raise ConfigError("client_counts does not apply to dynamic experiments")
@@ -410,11 +411,14 @@ def _config_dict(config: ExperimentConfig) -> dict:
 
 
 # --- JSON config loading -------------------------------------------------
+#
+# Error messages echo a bad value through ``reprlib.repr``, which cuts long
+# strings, numbers and arrays short: a wrong value may be a whole array.
 
 def _integer(value, key):
     """A JSON integer; booleans are not integers here."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{key} must be an integer, got {value!r}")
+        raise ConfigError(f"{key} must be an integer, got {reprlib.repr(value)}")
     return value
 
 
@@ -426,13 +430,13 @@ def _number(value, key):
     here, before any range check sees them.  An integer stays an integer.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {value!r}")
+        raise ConfigError(f"{key} must be a number, got {reprlib.repr(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer that no float can hold
         finite = False
     if not finite:
-        raise ConfigError(f"{key} must be a finite number, got {value!r}")
+        raise ConfigError(f"{key} must be a finite number, got {reprlib.repr(value)}")
     return value
 
 
@@ -443,7 +447,7 @@ def _real(value, key):
 
 def _string(value, key):
     if not isinstance(value, str):
-        raise ConfigError(f"{key} must be a string, got {value!r}")
+        raise ConfigError(f"{key} must be a string, got {reprlib.repr(value)}")
     return value
 
 
@@ -452,7 +456,7 @@ def _array_of(element):
 
     def check(value, key):
         if not isinstance(value, list):
-            raise ConfigError(f"{key} must be an array, got {value!r}")
+            raise ConfigError(f"{key} must be an array, got {reprlib.repr(value)}")
         return tuple(element(item, f"{key}[{i}]") for i, item in enumerate(value))
 
     return check
@@ -538,6 +542,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("config is not valid JSON: nested too deeply") from exc
+    except ValueError as exc:  # an integer past int()'s digit limit
+        raise ConfigError(f"config has a number too long to read: {exc}") from exc
     return parse_config(raw)
 
 

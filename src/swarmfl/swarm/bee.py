@@ -6,105 +6,102 @@ sources picked by fitness-proportional roulette; a source stagnant past the
 trial limit is abandoned and re-scouted uniformly.  At most one scout per
 iteration, so evaluations stay within twice the population per iteration.
 
-Bees move one after another, each seeing the moves before it.  No draw
-depends on the colony's state, so each iteration draws its moves up front in
-four generator calls, in the order in which per-phase blocks would draw
-them: the employed bees' dimensions and partner offsets as one bounded-integer
-call, their steps and the onlookers' roulette picks as one ``random`` call,
-then the onlookers' dimensions and partner offsets, then their steps; the
-scout's draw follows both phases.  numpy draws bounded integers through the
-same 32-bit sampler for an array bound as for a scalar one, so one call over
-the bounds ``[n]*count + [n_sources-1]*count`` gives the values, and leaves
-the generator state, of two scalar-bound calls of ``count`` draws each.  A
-step is ``-1.0 + 2.0 * u``, which is what ``uniform(-1, 1)`` returns for the
-same ``u``.  The colony keeps each source's decoded subset next to its
-position.  A move whose candidate decodes to its source's subset scores
-exactly the source's value, so it cannot win and writes nothing; at the
-default population, on 10/3 to 50/20 problems, fewer than one move in five
-changes the subset.  The phase is scored in runs: from the current state, the
-remaining moves are proposed and decoded, and a run ends at the first move
-whose source, or whose partner's coordinate in the moved dimension, an
-earlier subset-changing move of the run may have written.  Every move of a
-run is scored, in order, in one call: the result is that of a per-bee loop on
-the same draws, bit for bit.
+Bees move one after another, each seeing the moves before it, on draws that
+read no state.  Each iteration makes four generator calls in per-phase
+order: the employed bees' dimensions and partner offsets in one call over
+the bounds ``[n]*count + [n_sources-1]*count`` (numpy's 32-bit sampler
+answers it as two scalar-bound calls), their steps ``-1.0 + 2.0 * u`` (as
+``uniform(-1, 1)`` gives) with the onlookers' roulette picks, then the
+onlookers' two blocks; the scout draws last.
+
+Each source keeps its coordinates as Python floats and the rank keys
+``(-coordinate, index)``, ``decode_rows``' order, of its weakest member and
+its strongest non-member.  Moving coordinate j to v changes the subset
+exactly when j is a member and ``(-v, j)`` ranks after the strongest
+non-member, or j is not and ``(-v, j)`` ranks before the weakest member.
+Only such a move can win (any other scores its source's own value); fewer
+than one move in five is one at the default population.  Each phase walks
+its moves once, in order; a run ends before the first move that reads its
+source, or its partner's coordinate in the moved dimension, where an earlier
+changing move of the run may have written.  A run is gathered, decoded and
+scored in one call: the result is a per-bee loop's on the same draws.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .support import BatchObjective, decode_rows, fold_into_box, roulette
+from .support import BatchObjective, decode_rows, roulette
 
 EVAL_FACTOR = 2
-
 SELECTION_FLOOR = 1e-9
 
 
-def propose(x, sources, dims, partners, phis):
-    """Candidate positions for a batch of moves, one row per move.
+def neighbor(own, other, phi):
+    """``own`` moved by ``phi`` times its gap to ``other``, reflected into [0,1]:
+    bit for bit what ``fold_into_box`` gives, which takes -0.0 to 0.0."""
+    step = abs(own + phi * (own - other))
+    return step if step <= 1.0 else max(2.0 - step, 0.0)
 
-    Move m copies source ``sources[m]`` and moves its coordinate ``dims[m]``
-    by ``phis[m]`` times its gap to the same coordinate of source
-    ``partners[m]``, reflecting at the walls.
+
+def edges(coords, k):
+    """Rank keys of the weakest member and strongest non-member of ``coords``.
+
+    With k = n, a key ranking after every coordinate's stands in for the latter.
     """
-    own = x[sources, dims]
-    cand = x[sources]
-    cand[np.arange(len(sources)), dims] = fold_into_box(
-        own + phis * (own - x[partners, dims])
-    )
-    return cand
+    order = sorted(range(len(coords)), key=coords.__getitem__, reverse=True)
+    keys = [(-coords[j], j) for j in order[k - 1 : k + 1]] + [(math.inf, 0)]
+    return keys[0], keys[1]
 
 
-def _run_end(sources, dims, partners, changed):
-    """Length of the longest prefix of moves that reads nothing the prefix writes.
-
-    Only a move whose candidate changes its source's subset can win, so only
-    such a move writes: its source's row and its own dimension.  A later move
-    conflicts with it if it has the same source, or if its partner is that
-    source and it moves the same dimension.  The arguments are plain lists.
-    """
-    moved, written = set(), set()
-    for m, (i, j, p, c) in enumerate(zip(sources, dims, partners, changed)):
-        if i in moved or (p, j) in written:
-            return m
-        if c:
-            moved.add(i)
-            written.add((i, j))
-    return len(sources)
+def changes(keys, j, own, v):
+    """Whether moving coordinate j from ``own`` to v changes the subset ``keys`` bound."""
+    weakest, strongest = keys
+    if (-own, j) <= weakest:
+        return (-v, j) > strongest
+    return (-v, j) < weakest
 
 
-def _visit(objective, x, rows, values, trials, sources, moves, phis):
+def _score(objective, x, coords, keys, values, trials, run, dims, steps):
+    """Score a run's moves in one call; winners, each its source's last move, take them."""
+    cand, n = x.take(run, 0), x.shape[1]
+    cand.put([m * n + j for m, j in enumerate(dims)], steps)
+    vals = objective.value_rows(decode_rows(cand, objective.k)).tolist()
+    for i, j, v, val in zip(run, dims, steps, vals):
+        if val > values[i]:
+            x[i, j] = coords[i][j] = v
+            values[i] = val
+            trials[i] = 0
+            keys[i] = edges(coords[i], objective.k)
+
+
+def _visit(objective, x, coords, keys, values, trials, sources, moves, phis):
     """Apply a phase's drawn moves in order: greedy replacement and trial counts.
 
-    ``moves`` holds every move's dimension, then its partner offset among the
-    other sources (in ``0..n_sources-2``, skipping the source; shifted into a
-    partner index in place); ``phis`` holds every move's step.
+    ``moves`` lists each move's dimension, then its partner offset among the
+    other sources (skipping the source); ``phis`` lists each move's step.
+    Only a changing move can win and write its source's row, in its dimension.
     """
-    n_sources = len(x)
     count = len(sources)
-    dims, partners = moves[:count], moves[count:]
-    partners += partners >= sources
-    start = 0
-    while start < count:
-        src, dim, partner = sources[start:], dims[start:], partners[start:]
-        cand = propose(x, src, dim, partner, phis[start:])
-        crow = decode_rows(cand, rows.shape[1])
-        changed = np.logical_or.reduce(crow != rows[src], axis=1)
-        end = _run_end(src.tolist(), dim.tolist(), partner.tolist(), changed.tolist())
-        if start + end < count:
-            src, cand, crow = src[:end], cand[:end], crow[:end]
-        vals = objective.value_rows(crow)
-        # A source may recur in a run, and every visit counts as a trial; a
-        # winner is its source's last move in the run, so its reset comes last.
-        trials += np.bincount(src, minlength=n_sources)
-        better = vals > values[src]
-        if better.any():
-            won = src[better]
-            x[won] = cand[better]
-            rows[won] = crow[better]
-            values[won] = vals[better]
-            trials[won] = 0
-        start += end
+    state = (objective, x, coords, keys, values, trials)
+    dims, steps = moves[:count], []
+    moved, written, start = set(), set(), 0
+    for m, (i, j, p, phi) in enumerate(zip(sources, dims, moves[count:], phis)):
+        p += p >= i
+        if i in moved or (p, j) in written:
+            _score(*state, sources[start:m], dims[start:m], steps[start:m])
+            moved, written, start = set(), set(), m
+        own = coords[i][j]
+        v = neighbor(own, coords[p][j], phi)
+        if changes(keys[i], j, own, v):
+            moved.add(i)
+            written.add((i, j))
+        steps.append(v)
+        trials[i] += 1
+    if count:
+        _score(*state, sources[start:], dims[start:], steps[start:])
 
 
 def run(n, k, population, iterations, objective: BatchObjective, rng):
@@ -115,28 +112,31 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     onlooker_bounds = np.repeat([n, n_sources - 1], n_onlookers)
 
     x = rng.random((n_sources, n))
-    rows = decode_rows(x, k)
-    values = objective.value_rows(rows)
-    trials = np.zeros(n_sources, dtype=int)
-    employed = np.arange(n_sources)
+    values = objective.value_rows(decode_rows(x, k)).tolist()
+    coords, trials = x.tolist(), [0] * n_sources
+    keys = [edges(c, k) for c in coords]
+    state = (objective, x, coords, keys, values, trials)
+    employed = list(range(n_sources))
 
     for _ in range(iterations):
         # The iteration's four draws, in per-phase order (module docstring).
-        moves = rng.integers(employed_bounds)
+        moves = rng.integers(employed_bounds).tolist()
         u = rng.random(n_sources + n_onlookers)
-        phis = -1.0 + 2.0 * u[:n_sources]
-        _visit(objective, x, rows, values, trials, employed, moves, phis)
+        phis = (-1.0 + 2.0 * u[:n_sources]).tolist()
+        _visit(*state, employed, moves, phis)
 
-        weights = np.maximum(values - np.minimum.reduce(values), SELECTION_FLOOR)
-        onlookers = roulette(np.add.accumulate(weights), u[n_sources:])
-        moves = rng.integers(onlooker_bounds)
-        phis = -1.0 + 2.0 * rng.random(n_onlookers)
-        _visit(objective, x, rows, values, trials, onlookers, moves, phis)
+        scores = np.array(values)
+        weights = np.maximum(scores - np.minimum.reduce(scores), SELECTION_FLOOR)
+        onlookers = roulette(np.add.accumulate(weights), u[n_sources:]).tolist()
+        moves = rng.integers(onlooker_bounds).tolist()
+        phis = (-1.0 + 2.0 * rng.random(n_onlookers)).tolist()
+        _visit(*state, onlookers, moves, phis)
 
-        stale = trials.argmax()
+        stale = trials.index(max(trials))
         if trials[stale] > limit:
             x[stale] = rng.random(n)
-            rows[stale] = decode_rows(x[stale], k)
-            values[stale] = objective.value_rows(rows[stale][None, :])[0]
+            coords[stale] = x[stale].tolist()
+            keys[stale] = edges(coords[stale], k)
+            values[stale] = objective.value_rows(decode_rows(x[stale : stale + 1], k))[0].item()
             trials[stale] = 0
         yield

@@ -94,7 +94,8 @@ def fold_into_box(coords: np.ndarray) -> np.ndarray:
     degenerates into index-order tie-breaking; reflection keeps them spread.
     Coordinates with |x| > 2 land on the 0 wall.  Four ufunc calls (``abs``,
     ``2.0 - folded``, ``minimum``, ``maximum``) keep this cheap on the single
-    rows and small batches that fish and bee move.
+    rows and small batches that fish moves.  bee folds its one moved
+    coordinate on plain floats, to the same bits (``bee.neighbor``).
     """
     folded = np.abs(coords)
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)

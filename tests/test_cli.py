@@ -143,8 +143,13 @@ def test_default_noise_levels_are_accepted_outside_the_noise_family(
 
 
 @pytest.mark.parametrize(
-    "value",
-    [float("nan"), float("inf"), float("-inf"), 10**400],
+    "value, shown",
+    [
+        (float("nan"), "nan"),
+        (float("inf"), "inf"),
+        (float("-inf"), "-inf"),
+        (10**400, "1" + "0" * 17 + "..." + "0" * 19),  # echoed cut short
+    ],
     ids=["NaN", "Infinity", "-Infinity", "10**400"],
 )
 @pytest.mark.parametrize(
@@ -158,7 +163,7 @@ def test_default_noise_levels_are_accepted_outside_the_noise_family(
     ids=["lr", "weights-w1", "partition-alpha", "noise_levels-element"],
 )
 def test_non_finite_config_number_is_exit_one(
-    entry, key, value, tiny_config_file, tmp_path, capsys
+    entry, key, value, shown, tiny_config_file, tmp_path, capsys
 ):
     # json.load accepts the NaN, Infinity and -Infinity literals json.dumps writes,
     # and integers that no float can hold.
@@ -172,7 +177,7 @@ def test_non_finite_config_number_is_exit_one(
     ):
         assert main(args) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"config error: {key} must be a finite number, got {value!r}\n"
+        assert captured.err == f"config error: {key} must be a finite number, got {shown}\n"
         assert captured.out == ""
     assert not out_dir.exists()
 
@@ -358,8 +363,10 @@ def test_run_missing_config_file(tmp_path, capsys):
         (b"\xff\xfe{}", "config error: config is not UTF-8 text: "),
         # Deeper than the JSON decoder's recursion allows.
         (b"[" * 100_000, "config error: config is not valid JSON: nested too deeply\n"),
+        # Longer than the 4,300 digits Python converts to an int by default.
+        (b'{"runs": ' + b"7" * 4400 + b"}", "config error: config has a number too long to read: "),
     ],
-    ids=["not-utf8", "deep"],
+    ids=["not-utf8", "deep", "long-integer"],
 )
 def test_unreadable_config_is_exit_one(command, content, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -374,6 +381,42 @@ def test_unreadable_config_is_exit_one(command, content, message, tmp_path, caps
     assert "Traceback" not in captured.err
     assert captured.out == ""
     assert not out_dir.exists()
+
+
+def nested_list(depth):
+    value = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"runs": list(range(2000))},
+        {"experiment": nested_list(900)},
+        {"lr": "x" * 5000},
+        {"lr": 10**4000},
+        {"algorithms": {"gwo": list(range(2000))}},
+        {"noise_levels": [0.25, ["z" * 5000]]},
+        {"experiment": "x" * 5000},
+        {"algorithms": ["y" * 5000]},
+        {"experiment": "dynamic", "schedule_kind": "z" * 5000, "client_counts": None},
+    ],
+    ids=["integer", "string", "number", "finite", "array", "element", "experiment",
+         "algorithm", "schedule_kind"],
+)
+def test_a_bad_value_is_echoed_short(entry, tiny_config_file, capsys):
+    # A wrong value is echoed cut short, never whole: a 2,000-item list once
+    # gave a multi-kilobyte error line.
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(entry)
+    config = {key: value for key, value in config.items() if value is not None}
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["validate", "--config", str(tiny_config_file)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert len(err) < 160, err
 
 
 def test_run_output_failure_is_exit_two(tiny_config_file, tmp_path, capsys):

@@ -26,8 +26,8 @@ from swarmfl.fitness import (
     subset_objective,
 )
 from swarmfl.flsim import ModelParams, fed_avg, train_cohort
-from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, optimize
-from swarmfl.swarm.support import BatchObjective
+from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, bee, optimize
+from swarmfl.swarm.support import BatchObjective, decode_rows
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
@@ -254,6 +254,35 @@ def test_a_stopped_search_returns_the_full_search_result(
     assert stopped.best_value.hex() == full.best_value.hex()
     assert [v.hex() for v in stopped.trace] == [v.hex() for v in full.trace]
     assert stopped.evaluations <= full.evaluations
+
+
+# Coordinates in the box, mostly from a few values, walls included, so that
+# ties between coordinates are common.
+COORDINATES = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def bee_moves(draw):
+    """A source's coordinates, its subset size and one move: (coords, k, j, v)."""
+    n = draw(st.integers(1, 8))
+    coords = draw(st.lists(COORDINATES, min_size=n, max_size=n))
+    k = draw(st.sampled_from([1, n]) | st.integers(1, n))
+    j = draw(st.integers(0, n - 1))
+    v = draw(st.sampled_from(coords) | COORDINATES)
+    return coords, k, j, v
+
+
+@hypothesis.settings(max_examples=400, **SETTINGS)
+@hypothesis.given(bee_moves())
+def test_bee_change_rule_agrees_with_decoding(move):
+    # bee decides from two rank keys, without decoding, whether a move changes
+    # its source's subset; decode_rows is the definition.
+    coords, k, j, v = move
+    moved = list(coords)
+    moved[j] = v
+    before, after = decode_rows(np.array([coords, moved]), k)
+    keys = bee.edges(coords, k)
+    assert bee.changes(keys, j, coords[j], v) == (before.tolist() != after.tolist())
 
 
 @st.composite

@@ -21,7 +21,7 @@ from swarmfl.swarm.support import (
     keyed_sample,
     levy_sample,
 )
-from swarmfl.swarm import OptimizerParams, SelectionProblem, fish, gwo, optimize
+from swarmfl.swarm import OptimizerParams, SelectionProblem, bee, fish, gwo, optimize
 
 
 def make_objective(n, seed=0, coverage=0.0):
@@ -255,8 +255,25 @@ def test_fold_matches_three_step_reference():
     rng = np.random.default_rng(9)
     x = np.concatenate([rng.uniform(-3.0, 4.0, 10000), [-2.0, -1.0, 0.0, 1.0, 2.0, 3.0]])
     np.testing.assert_array_equal(fold_into_box(x), reference_fold(x))
-    for value in x[:50]:  # numpy scalars, as bee moves them
+    for value in x[:50]:  # numpy scalars
         assert fold_into_box(value) == reference_fold(value)
+
+
+def test_bee_neighbor_is_the_fold_bit_for_bit():
+    # bee moves one coordinate at a time on plain floats; each step must land
+    # on fold_into_box's bits, the sign of zero included.  np.abs takes -0.0
+    # to 0.0, where flipping only steps below 0 would keep it: the wall cases
+    # give -0.0 steps (own -0.0, other 0.0, phi 1.0), and steps of exactly
+    # 1, 2 and beyond 2.
+    rng = np.random.default_rng(10)
+    walls = np.meshgrid([-0.0, 0.0, 0.5, 1.0], [-0.0, 0.0, 1.0, 2.0], [-1.0, 0.0, 0.5, 1.0])
+    draws = [rng.uniform(-3.0, 4.0, 5000) for _ in range(2)] + [rng.uniform(-1.0, 1.0, 5000)]
+    own, other, phi = (np.concatenate([draw, wall.ravel()]) for draw, wall in zip(draws, walls))
+    raw = own + phi * (own - other)
+    assert any(math.copysign(1.0, step) < 0 for step in raw[raw == 0.0].tolist())
+    assert raw.max() > 2.0 and (raw == 2.0).any() and (raw == 1.0).any()
+    got = [bee.neighbor(*move) for move in zip(own.tolist(), other.tolist(), phi.tolist())]
+    assert np.array(got).view(np.uint64).tolist() == fold_into_box(raw).view(np.uint64).tolist()
 
 
 # --- BatchObjective -------------------------------------------------------------
