@@ -64,6 +64,8 @@ _DEFAULT_CLIENTS = {
 _DEFAULT_EPOCHS = {"dynamic": 20, "noniid": 10, "noise": 10}
 _FIXED_EPOCH_GRID = (10, 15)
 _DYNAMIC_BOUNDS = (5, 25)
+_MAX_RUNS = 10**6  # derived in ExperimentConfig's docstring
+_MAX_CLIENTS = 10**6
 
 
 def hash64(*values: int) -> int:
@@ -95,6 +97,19 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment grid: its family, its cells' shared settings and its runs.
+
+    ``runs`` and every client count are at most 10**6.  Each run keeps its
+    task and its trace in memory until the report is written, about 0.8 KB
+    at the smallest session (one epoch of two clients, measured with
+    ``tracemalloc``), and writes one round file; a session holds every
+    client's profile, class mix and data, about 0.8 KB a client at one
+    sample of one feature and over 16 KB at the default 200 samples of 10
+    features.  So 10**6 runs of one cell and one algorithm, or one session
+    of 10**6 clients, already needs about a gigabyte of memory, far past
+    the paper's 30 runs of at most 25 clients; a larger value is a typo.
+    """
+
     experiment: str
     algorithms: tuple = ALGORITHM_NAMES
     client_counts: tuple | None = None
@@ -129,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError(f"algorithms repeated: {', '.join(repeated)}")
         if self.runs < 1:
             raise ConfigError("runs must be >= 1")
+        if self.runs > _MAX_RUNS:
+            raise ConfigError(f"runs must be <= {_MAX_RUNS}, got {reprlib.repr(self.runs)}")
         if not 0 <= self.base_seed < 2**64:
             raise ConfigError("base_seed must be an unsigned 64-bit integer")
         if self.epochs is not None and self.epochs < 1:
@@ -193,6 +210,10 @@ def enumerate_configurations(config: ExperimentConfig) -> list:
         raise ConfigError("client_counts must be nonempty")
     if any(c < 2 for c in counts):
         raise ConfigError("client counts must be >= 2")
+    if max(counts) > _MAX_CLIENTS:
+        raise ConfigError(
+            f"client counts must be <= {_MAX_CLIENTS}, got {reprlib.repr(max(counts))}"
+        )
     if experiment == "fixed":
         grid = (config.epochs,) if config.epochs else _FIXED_EPOCH_GRID
         return [cell(f"clients={n},epochs={e}", n, n, e) for n in counts for e in grid]

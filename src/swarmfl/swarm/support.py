@@ -84,7 +84,7 @@ def roulette(cum: np.ndarray, u) -> np.ndarray:
     the last index, in case rounding puts the threshold at the total.
     """
     threshold = u * cum[..., -1]
-    return np.minimum((cum <= threshold[..., None]).sum(axis=-1), cum.shape[-1] - 1)
+    return np.minimum(np.add.reduce(cum <= threshold[..., None], -1), cum.shape[-1] - 1)
 
 
 def fold_into_box(coords: np.ndarray) -> np.ndarray:
@@ -101,11 +101,12 @@ def fold_into_box(coords: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(folded, 2.0 - folded), 0.0)
 
 
-def gram_sq_distances(points: np.ndarray, spots: np.ndarray):
+def gram_sq_distances(points: np.ndarray, spots: Optional[np.ndarray] = None):
     """Squared distances from one Gram product, and the margin that makes them exact.
 
     Returns the (m, p) estimates |a|^2 + |b|^2 - 2 a.b between ``points[a]``
     and ``spots[b]``, and ``margin = 4 n (n + 2) eps`` for n coordinates.
+    Without ``spots``, ``points`` against themselves, their norms taken once.
     With every coordinate in [0,1], comparing an estimate with ``r * r``
     decides ``sqrt(add.reduce(d * d, -1)) < r`` for ``d = points[a] -
     spots[b]`` (bit for bit what ``np.linalg.norm`` computes) whenever the
@@ -127,9 +128,10 @@ def gram_sq_distances(points: np.ndarray, spots: np.ndarray):
     higher-order terms and the rounding of the comparison itself.
     """
     n = points.shape[-1]
-    margin = 4.0 * n * (n + 2) * np.finfo(float).eps
-    sq = (points * points).sum(axis=-1)[:, None] + (spots * spots).sum(axis=-1)[None, :]
-    return sq - 2.0 * (points @ spots.T), margin
+    norms = np.add.reduce(points * points, -1)
+    spot_norms = norms if spots is None else np.add.reduce(spots * spots, -1)
+    gram = points @ (points if spots is None else spots).T
+    return norms[:, None] + spot_norms - 2.0 * gram, 4.0 * n * (n + 2) * 2.0**-52
 
 
 def bounce(x: np.ndarray, v: np.ndarray, vmax: float):
@@ -253,11 +255,11 @@ class BatchObjective:
                 f" > {self.budget}"
             )
         k = rows.shape[-1]
-        values = self.fitness[rows].sum(axis=-1) / k
+        values = np.add.reduce(self.fitness[rows], -1) / k
         if self._dists is not None:
-            pooled = self._dists[rows].sum(axis=-2) / k
+            pooled = np.add.reduce(self._dists[rows], -2) / k
             logs = np.log(pooled, out=np.zeros_like(pooled), where=pooled > 0.0)
-            entropy = -(pooled * logs).sum(axis=-1)
+            entropy = -np.add.reduce(pooled * logs, -1)
             n_classes = self._dists.shape[1]
             values = values + self.objective.coverage_bonus * entropy / math.log(
                 n_classes

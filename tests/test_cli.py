@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from swarmfl import experiments
+from swarmfl import cli, experiments
 from swarmfl.cli import main
 from swarmfl.swarm import ALGORITHM_NAMES
 
@@ -223,6 +223,71 @@ def test_number_at_its_limit_runs(key, tiny_config_file, tmp_path, capsys):
     assert main(["run", "--config", str(tiny_config_file), "--out", str(out_dir)]) == 0
     assert capsys.readouterr().err == ""
     assert (out_dir / "summary.csv").is_file()
+
+
+# Counts above their limit of 10**6: just past it, and far past it, where a
+# 4,001-digit client count once became a cell label and runs passed validate.
+COUNT_ENTRIES = {
+    "runs-next": ({"runs": 10**6 + 1}, "runs must be <= 1000000, got 1000001"),
+    "runs-huge": (
+        {"runs": 10**4000},
+        "runs must be <= 1000000, got 100000000000000000...0000000000000000000",
+    ),
+    "clients-next": (
+        {"client_counts": [4, 10**6 + 1]},
+        "client counts must be <= 1000000, got 1000001",
+    ),
+    "clients-huge": (
+        {"client_counts": [10**4000]},
+        "client counts must be <= 1000000, got 100000000000000000...0000000000000000000",
+    ),
+}
+
+
+def refuse_to_run(config, parallel=1):
+    raise AssertionError("a grid past a count limit must not start")
+
+
+@pytest.mark.parametrize("entry", COUNT_ENTRIES)
+def test_count_above_its_limit_is_exit_one(
+    entry, tiny_config_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    change, message = COUNT_ENTRIES[entry]
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(change)
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    out_dir = tmp_path / "x"
+    for args in (
+        ["validate", "--config", str(tiny_config_file)],
+        ["run", "--config", str(tiny_config_file), "--out", str(out_dir)],
+    ):
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: {message}\n"
+        assert captured.out == ""
+    assert not out_dir.exists()
+
+
+def test_runs_override_above_its_limit_is_exit_one(
+    tiny_config_file, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli, "run_experiment", refuse_to_run)
+    out_dir = tmp_path / "x"
+    args = ["run", "--config", str(tiny_config_file), "--out", str(out_dir)]
+    assert main(args + ["--runs", str(10**6 + 1)]) == 1
+    assert capsys.readouterr().err == "config error: runs must be <= 1000000, got 1000001\n"
+    assert not out_dir.exists()
+
+
+def test_counts_at_their_limit_pass_validate(tiny_config_file, capsys):
+    config = json.loads(tiny_config_file.read_text(encoding="utf-8"))
+    config.update(runs=10**6, client_counts=[4, 10**6])
+    tiny_config_file.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["validate", "--config", str(tiny_config_file)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "clients=1000000,epochs=2" in captured.out
 
 
 def test_run_writes_reports(tiny_config_file, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import functools
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -416,6 +417,57 @@ def test_glowworm_step_equals_the_pairwise_norm_step(monkeypatch):
                 assert np.array_equal(got, expected)
                 assert np.array_equal(got_radius, expected_radius)
     assert sum(band_pairs) > 0
+
+
+def test_glowworm_step_writes_no_argument():
+    # The step updates its own arrays in place; the caller's must come back
+    # bit for bit as they went in, and no result may share their memory.
+    rng = np.random.default_rng(24)
+    for n in (1, 10, 50):
+        for population in (2, 20):
+            snapshot, lucif, radius = adversarial_glowworm_inputs(rng, population, n)
+            args = (
+                snapshot,
+                lucif,
+                radius,
+                0.5 * np.sqrt(n),
+                rng.random(population),
+                rng.uniform(-glowworm.IDLE_PROBE, glowworm.IDLE_PROBE, (population, n)),
+            )
+            before = [np.array(a, copy=True) for a in args]
+            moved, grown = glowworm.step_swarm(*args)
+            for arg, kept in zip(args, before):
+                assert np.asarray(arg).tobytes() == kept.tobytes()
+                assert not np.shares_memory(moved, arg)
+                assert not np.shares_memory(grown, arg)
+
+
+def test_glowworm_band_edge_takes_the_exact_norm():
+    # A radius whose squared gap to the brighter worm's estimate is exactly
+    # -margin sits on the band's edge.  That pair must take the exact norm,
+    # which puts the brighter worm in range.
+    rng = np.random.default_rng(25)
+    hits = 0
+    for n in (2, 10, 50):
+        for _ in range(10):
+            snapshot = rng.random((2, n))
+            sq, margin = support.gram_sq_distances(snapshot)
+            radius = np.array([np.sqrt(sq[0, 1] + margin), 0.0])
+            edge = sq[0, 1] - radius[0] * radius[0] == -margin
+            hits += edge and np.linalg.norm(snapshot[1] - snapshot[0]) < radius[0]
+            args = (
+                snapshot,
+                np.array([3.0, 6.0]),
+                radius,
+                0.5 * np.sqrt(n),
+                rng.random(2),
+                rng.uniform(-glowworm.IDLE_PROBE, glowworm.IDLE_PROBE, (2, n)),
+            )
+            expected, expected_radius = reference_glowworm_norm_step(*args)
+            got, got_radius = glowworm.step_swarm(*args)
+            assert np.array_equal(got, expected)
+            assert np.array_equal(got_radius, expected_radius)
+    assert hits > 0
 
 
 # --- batched asynchronous selectors against per-agent reference loops -------------
@@ -841,6 +893,49 @@ def reference_cuckoo_run(n, k, population, iterations, objective, rng):
         yield
 
 
+def fresh_array_glowworm_step(snapshot, lucif, radius, r_sense, picks, probes):
+    """glowworm's step with the Gram product on two copies of the norms, a
+    masked diagonal, separate brighter and rise matrices, and fresh arrays
+    for every update."""
+    sq, margin = support.gram_sq_distances(snapshot, snapshot)
+    gap = sq - (radius * radius)[:, None]
+    np.fill_diagonal(gap, np.inf)
+    within = gap < -margin
+    band = np.flatnonzero(np.abs(gap) <= margin)
+    if band.size:
+        rows, cols = np.divmod(band, len(snapshot))
+        within.flat[band] = glowworm._exact_within(snapshot, rows, cols, radius)
+    brighter = within & (lucif[None, :] > lucif[:, None])
+    counts = brighter.sum(axis=1)
+    cum = np.cumsum(np.where(brighter, lucif[None, :] - lucif[:, None], 0.0), axis=1)
+    target = support.roulette(cum, picks)
+    d = snapshot[target] - snapshot
+    norm = np.sqrt(np.add.reduce(d * d, -1))
+    moves = (counts > 0) & (norm > 0.0)
+    pull = glowworm.STEP * d / np.where(moves, norm, 1.0)[:, None]
+    moved = fold_into_box(snapshot + np.where(moves[:, None], pull, probes))
+    gain = glowworm.RADIUS_GAIN * (glowworm.TARGET_NEIGHBORS - counts)
+    return moved, np.minimum(r_sense, np.maximum(0.0, radius + gain))
+
+
+def reference_glowworm_run(n, k, population, iterations, objective, rng, step):
+    # glowworm's loop with a fresh luciferin array every iteration.
+    r_sense = 0.5 * math.sqrt(n)
+    x = rng.random((population, n))
+    values = objective.value_positions(x)
+    luciferin = np.full(population, glowworm.LUCIFERIN_INIT)
+    radius = np.full(population, r_sense)
+    for _ in range(iterations):
+        luciferin = (
+            (1.0 - glowworm.LUCIFERIN_DECAY) * luciferin + glowworm.LUCIFERIN_GAIN * values
+        )
+        picks = rng.random(population)
+        probes = rng.uniform(-glowworm.IDLE_PROBE, glowworm.IDLE_PROBE, (population, n))
+        x, radius = step(x, luciferin, radius, r_sense, picks, probes)
+        values = objective.value_positions(x)
+        yield
+
+
 # 3/3 has a single subset and population 2 only two wolves, so both reach
 # gwo's leader padding.
 FUSED_CASES = [
@@ -919,6 +1014,38 @@ def test_cuckoo_matches_two_call_loop(population, monkeypatch):
         assert got_scored == expected_scored
         stopped += len(got_scored) - 1 < params.iterations
     assert stopped > 0
+
+
+def recording_step(step, calls):
+    """``step``, keeping the bytes of the six arguments of every call."""
+
+    def recorded(*args):
+        calls.append([np.asarray(a).tobytes() for a in args])
+        return step(*args)
+
+    return recorded
+
+
+@pytest.mark.parametrize("population", [2, 3, 20])
+def test_glowworm_matches_fresh_array_loop(population, monkeypatch):
+    # Each step's arguments are compared as well, so luciferin and radii must
+    # keep their bits even where a change to them would move no pick.  The
+    # 12/4 coverage case cannot stop at the certificate, so its run takes
+    # every iteration.
+    for seed, problem in enumerate(FUSED_CASES):
+        params = OptimizerParams("glowworm", population=population, seed=seed)
+        got_calls, expected_calls = [], []
+        with monkeypatch.context() as patch:
+            patch.setattr(glowworm, "step_swarm", recording_step(glowworm.step_swarm, got_calls))
+            got, got_scored = run_recording(problem, params, monkeypatch)
+        reference = functools.partial(
+            reference_glowworm_run,
+            step=recording_step(fresh_array_glowworm_step, expected_calls),
+        )
+        expected, expected_scored = run_recording(problem, params, monkeypatch, reference)
+        assert_same_result(got, expected)
+        assert got_scored == expected_scored
+        assert got_calls == expected_calls
 
 
 @pytest.mark.parametrize(

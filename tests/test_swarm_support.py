@@ -20,6 +20,7 @@ from swarmfl.swarm.support import (
     gram_sq_distances,
     keyed_sample,
     levy_sample,
+    roulette,
 )
 from swarmfl.swarm import OptimizerParams, SelectionProblem, bee, fish, gwo, optimize
 
@@ -129,6 +130,29 @@ def test_levy_tail_is_heavy():
     assert float(np.mean(np.abs(s) > 100.0)) > 1e-4
     normal = np.random.default_rng(314).normal(0.0, 1.0, 1_000_000)
     assert float(np.mean(np.abs(normal) > 10.0)) == 0.0
+
+
+def test_roulette_is_searchsorted_on_any_batch_shape():
+    # Each pick is searchsorted(cum, u * total, side="right"), clipped to the
+    # last index: a zero draw passes over leading zero weights, and a row of
+    # zero weights (a glowworm with no brighter neighbor) picks its last index.
+    rng = np.random.default_rng(71)
+    weights = rng.choice([0.0, 0.5, 1.0, 2.0], (2, 3, 5))
+    weights[0, 0] = 0.0
+    weights[1, :, :3] = [0.0, 0.0, 1.0]
+    cum = np.add.accumulate(weights, -1)
+    u = rng.random((2, 3))
+    u[1] = 0.0
+    expected = [
+        [min(np.searchsorted(row, x * row[-1], side="right"), 4) for row, x in zip(rows, xs)]
+        for rows, xs in zip(cum, u)
+    ]
+    assert roulette(cum, u).tolist() == expected
+    assert expected[0][0] == 4 and expected[1] == [2, 2, 2]
+    # One row of weights and a vector of draws, as bee's onlookers use it.
+    assert roulette(cum[1, 0], u[0]).tolist() == [
+        np.searchsorted(cum[1, 0], x * cum[1, 0, -1], side="right") for x in u[0]
+    ]
 
 
 # --- keyed sampling ---------------------------------------------------------------
@@ -316,6 +340,18 @@ def test_gram_estimate_bound_is_sound(n):
             assert not np.any(far & (norm < r))
             near = sq - r * r < -margin
             assert not np.any(near & (norm >= r))
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 50, 200])
+def test_gram_self_form_is_the_two_argument_form(n):
+    # Without spots the norms are taken once for both sides; the estimates
+    # and the margin must be the bits of the same points passed twice.
+    rng = np.random.default_rng(60 + n)
+    for points in point_sets(rng, n):
+        sq, margin = gram_sq_distances(points)
+        twice, twice_margin = gram_sq_distances(points, points)
+        assert sq.tobytes() == twice.tobytes()
+        assert margin == twice_margin == 4.0 * n * (n + 2) * np.finfo(float).eps
 
 
 def test_batch_matches_scalar_objective():
