@@ -28,7 +28,6 @@ __all__ = [
     "gen_dataset",
     "gen_client_datasets",
     "dirichlet_partition",
-    "corrupt_labels",
     "participation_at",
 ]
 
@@ -86,7 +85,8 @@ class NoiseSpec:
     level: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.level <= 1.0:
+        # -0.0 passes the range test, but uniform(-level, level) rejects it.
+        if not 0.0 <= self.level <= 1.0 or math.copysign(1.0, self.level) < 0:
             raise ValueError(f"noise level must be in [0,1], got {self.level}")
 
 
@@ -188,13 +188,15 @@ def gen_client_datasets(
     """One corrupted labeled set per client, drawn as one block.
 
     Bit for bit, and with the same generator state after, the same as
-    ``gen_dataset`` then ``corrupt_labels`` for each client in turn: client
-    by client, the generator fills that client's row of three blocks, its
-    label draws, its ``(n_samples, n_features)`` features and its flip
-    draws.  The label, shift and flip transforms then run once over the
-    whole ``(clients, n_samples, n_features)`` block, and each client's set
-    is a view of its row.  ``class_proportions`` holds one pair per client
-    and ``flip_rates`` one rate per client.
+    ``gen_dataset`` for each client in turn, each followed by that client's
+    ``rng.random(n_samples)`` flip draws: client by client, the generator
+    fills that client's row of three blocks, its label draws, its
+    ``(n_samples, n_features)`` features and its flip draws.  A label flips
+    where its draw falls below the client's rate.  The label, shift and flip
+    transforms then run once over the whole ``(clients, n_samples,
+    n_features)`` block, and each client's set is a view of its row.
+    ``class_proportions`` holds one pair per client and ``flip_rates`` one
+    rate per client.
     """
     n = len(flip_rates)
     if n < 1:
@@ -256,16 +258,6 @@ def dirichlet_partition(
         raise ValueError("n_classes must be >= 2")
     draws = rng.dirichlet(np.full(n_classes, alpha), size=n_clients)
     return [draws[i] for i in range(n_clients)]
-
-
-def corrupt_labels(
-    data: LabeledDataset, flip_rate: float, rng: np.random.Generator
-) -> LabeledDataset:
-    """Flip each label independently with the given probability."""
-    if not 0.0 <= flip_rate <= 1.0:
-        raise ValueError(f"flip_rate must be in [0,1], got {flip_rate}")
-    labels = _flip(data.labels, rng.random(len(data)), flip_rate)
-    return LabeledDataset(features=data.features, labels=labels)
 
 
 def participation_at(schedule: ParticipationSchedule, epoch: int) -> int:

@@ -550,11 +550,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _unique_keys(pairs) -> dict:
+    """One JSON object as a dict; a key given twice, at any depth, is a ``ConfigError``."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config key {reprlib.repr(key)} is given twice")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -563,6 +573,8 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError("config is not valid JSON: nested too deeply") from exc
+    except ConfigError:
+        raise
     except ValueError as exc:  # an integer past int()'s digit limit
         raise ConfigError(f"config has a number too long to read: {exc}") from exc
     return parse_config(raw)

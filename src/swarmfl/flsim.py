@@ -38,7 +38,6 @@ __all__ = [
     "logistic_loss",
     "loss_gradient",
     "local_train",
-    "train_cohort",
     "fed_avg",
     "evaluate_global",
     "run_round",
@@ -157,29 +156,9 @@ def local_train(
     batch_size: int,
     rng: np.random.Generator,
 ) -> ModelParams:
-    """One epoch of minibatch SGD on the logistic loss; returns new params."""
-    return train_cohort(params, [data], lr, batch_size, rng)[0]
-
-
-def train_cohort(
-    params: ModelParams,
-    datasets,
-    lr: float,
-    batch_size: int,
-    rng: np.random.Generator,
-) -> list:
-    """One epoch of minibatch SGD per dataset, all from ``params``.
-
-    Each dataset in input order draws ``rng.permutation(len(data))`` and
-    trains alone, so this is ``local_train`` on each in turn.  A blow-up
-    passes silently until ``ModelParams`` rejects the non-finite result with
-    ``FloatingPointError``.  Returns the members' params in input order.
-    """
-    trained = [
-        _train_stack(params, [data], rng.permutation(len(data))[None], lr, batch_size)[0]
-        for data in datasets
-    ]
-    return [ModelParams(weights=row[:-1], bias=float(row[-1])) for row in trained]
+    """One epoch of minibatch SGD on the logistic loss, as a one-member stack."""
+    row = _train_stack(params, [data], rng.permutation(len(data))[None], lr, batch_size)[0]
+    return ModelParams(weights=row[:-1], bias=float(row[-1]))
 
 
 def _train_stack(params: ModelParams, datasets, orders, lr, batch_size) -> np.ndarray:
@@ -224,15 +203,11 @@ def fed_avg(updates) -> ModelParams:
     """Sample-count-weighted element-wise mean of parameter sets."""
     if not updates:
         raise ValueError("fed_avg needs at least one update")
-    dim = updates[0][0].weights.size
-    stack = np.empty((len(updates), dim + 1))
-    for j, (params, count) in enumerate(updates):
-        if count < 1:
-            raise ValueError("sample counts must be >= 1")
-        if params.weights.size != dim:
-            raise ValueError("parameter vectors must have equal length")
-        stack[j, :dim] = params.weights
-        stack[j, dim] = params.bias
+    if any(count < 1 for _, count in updates):
+        raise ValueError("sample counts must be >= 1")
+    if len({params.weights.size for params, _ in updates}) > 1:
+        raise ValueError("parameter vectors must have equal length")
+    stack = np.array([np.append(params.weights, params.bias) for params, _ in updates])
     return _average(stack, [count for _, count in updates])
 
 
@@ -403,8 +378,8 @@ def build_clients(config: SessionConfig, rng: np.random.Generator):
     """Materialize the session's master client list and its global test set.
 
     The clients' data is drawn as one block (``gen_client_datasets``), bit
-    for bit what ``gen_dataset`` then ``corrupt_labels`` would draw client
-    by client; the test set is drawn after it.
+    for bit what ``gen_dataset`` and the client's flip draws would give
+    client by client; the test set is drawn after it.
 
     The master list covers the schedule's largest participation count so a
     decreasing schedule can start full; an epoch's pool is a prefix of this

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, bounce, fold_into_box
+from .support import BatchObjective, bounce, fold_into_box, track_best
 
 EVAL_FACTOR = 2
 
@@ -43,18 +43,16 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     loud = np.full(population, LOUDNESS)
     values = objective.value_positions(x)
 
-    b = int(np.argmax(values))
-    best_x = x[b].copy()
-    best_val = float(values[b])
+    best = track_best(x, values)
 
     for t in range(iterations):
         pulse = PULSE_RATE * (1.0 - np.exp(-PULSE_GROWTH * t))
         freq = rng.uniform(0.0, FREQ_MAX, population)
-        flight, v = bounce(x, v + freq[:, None] * (x - best_x), vmax)
+        flight, v = bounce(x, v + freq[:, None] * (x - best[0]), vmax)
 
         walk_gate = rng.random(population) > pulse
         eps = rng.normal(0.0, 1.0, (population, n))
-        local = fold_into_box(best_x + WALK_SCALE * eps * (np.add.reduce(loud) / population))
+        local = fold_into_box(best[0] + WALK_SCALE * eps * (np.add.reduce(loud) / population))
 
         scored = objective.value_positions(np.concatenate([flight, local]))
         flight_values, local_values = scored[:population], scored[population:]
@@ -66,8 +64,5 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         values[accept] = cand_values[accept]
         loud[accept] *= LOUDNESS_DECAY
 
-        b = int(np.argmax(values))
-        if values[b] > best_val:
-            best_x = x[b].copy()
-            best_val = float(values[b])
+        best = track_best(x, values, best)
         yield

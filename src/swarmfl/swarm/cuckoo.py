@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, fold_into_box, levy_sample
+from .support import BatchObjective, fold_into_box, levy_sample, track_best
 
 EVAL_FACTOR = 2
 
@@ -33,13 +33,11 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
     x = rng.random((population, n))
     values = objective.value_positions(x)
 
-    b = int(np.argmax(values))
-    best_x = x[b].copy()
-    best_val = float(values[b])
+    best = track_best(x, values)
 
     for _ in range(iterations):
         steps = levy_sample(LEVY_BETA, rng, (population, n))
-        cand = fold_into_box(x + STEP_SCALE * steps * (x - best_x))
+        cand = fold_into_box(x + STEP_SCALE * steps * (x - best[0]))
         rebuilt = rng.random((n_abandon, n))
         scored = objective.value_positions(np.concatenate([cand, rebuilt]))
         cand_values, rebuilt_values = scored[:population], scored[population:]
@@ -52,8 +50,5 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         x[worst] = rebuilt
         values[worst] = rebuilt_values
 
-        b = int(np.argmax(values))
-        if values[b] > best_val:
-            best_x = x[b].copy()
-            best_val = float(values[b])
+        best = track_best(x, values, best)
         yield

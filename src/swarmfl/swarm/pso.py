@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .support import BatchObjective, bounce
+from .support import BatchObjective, bounce, track_best
 
 EVAL_FACTOR = 1
 
@@ -42,9 +42,7 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
 
     pbest = x.copy()
     pbest_val = values.copy()
-    g = int(np.argmax(values))
-    gbest = x[g].copy()
-    gbest_val = float(values[g])
+    best = track_best(x, values)
 
     for _ in range(iterations):
         r1 = rng.random((population, n))
@@ -52,7 +50,7 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         r1 *= COGNITIVE
         r1 *= pbest - x
         r2 *= SOCIAL
-        r2 *= gbest - x
+        r2 *= best[0] - x
         v *= INERTIA
         v += r1
         v += r2
@@ -65,8 +63,5 @@ def run(n, k, population, iterations, objective: BatchObjective, rng):
         improved = values > pbest_val
         pbest[improved] = x[improved]
         pbest_val[improved] = values[improved]
-        g = int(np.argmax(pbest_val))
-        if pbest_val[g] > gbest_val:
-            gbest = pbest[g].copy()
-            gbest_val = float(pbest_val[g])
+        best = track_best(pbest, pbest_val, best)
         yield

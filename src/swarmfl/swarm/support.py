@@ -23,6 +23,7 @@ __all__ = [
     "keyed_sample",
     "levy_sample",
     "roulette",
+    "track_best",
     "BatchObjective",
 ]
 
@@ -151,6 +152,19 @@ def bounce(x: np.ndarray, v: np.ndarray, vmax: float):
     folded = fold_into_box(raw)
     np.negative(speed, out=speed, where=folded != raw)
     return folded, speed
+
+
+def track_best(x: np.ndarray, values: np.ndarray, best=None):
+    """``(x[b].copy(), float(values[b]))`` for the first argmax b, if it beats ``best``.
+
+    With no ``best`` the row is taken whatever its value, even NaN; after
+    that only a strict improvement replaces it, else ``best`` is returned.
+    Unlike ``BatchObjective.best_row``, the leader is a position the swarm holds.
+    """
+    b = int(np.argmax(values))
+    if best is None or values[b] > best[1]:
+        return x[b].copy(), float(values[b])
+    return best
 
 
 # The largest |fitness| a certificate accepts.  The searches sum score gaps

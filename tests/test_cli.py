@@ -430,8 +430,18 @@ def test_run_missing_config_file(tmp_path, capsys):
         (b"[" * 100_000, "config error: config is not valid JSON: nested too deeply\n"),
         # Longer than the 4,300 digits Python converts to an int by default.
         (b'{"runs": ' + b"7" * 4400 + b"}", "config error: config has a number too long to read: "),
+        # json.load keeps the last of two equal keys; the first would vanish unseen.
+        (b'{"runs": 1, "runs": 30}', "config error: config key 'runs' is given twice\n"),
+        (
+            b'{"optimizer": {"population": 6}, "optimizer": {"iterations": 8}}',
+            "config error: config key 'optimizer' is given twice\n",
+        ),
+        (
+            b'{"dataset": {"n_test": 5, "n_test": 5}}',
+            "config error: config key 'n_test' is given twice\n",
+        ),
     ],
-    ids=["not-utf8", "deep", "long-integer"],
+    ids=["not-utf8", "deep", "long-integer", "key-twice", "section-twice", "nested-key-twice"],
 )
 def test_unreadable_config_is_exit_one(command, content, message, tmp_path, capsys):
     bad = tmp_path / "bad.json"
@@ -444,6 +454,22 @@ def test_unreadable_config_is_exit_one(command, content, message, tmp_path, caps
     captured = capsys.readouterr()
     assert captured.err.startswith(message)
     assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_negative_zero_noise_level_is_exit_one(command, tmp_path, capsys):
+    # uniform(-level, level) rejects -0.0, so every session of the cell would fail.
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"experiment": "noise", "runs": 1, "noise_levels": [-0.0]}', "utf-8")
+    out_dir = tmp_path / "out"
+    argv = [command, "--config", str(bad)]
+    if command == "run":
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "config error: noise level must be in [0,1], got -0.0\n"
     assert captured.out == ""
     assert not out_dir.exists()
 

@@ -9,8 +9,8 @@ from swarmfl.datagen import (
     NoiseSpec,
     ParticipationSchedule,
     PartitionSpec,
-    corrupt_labels,
     dirichlet_partition,
+    gen_client_datasets,
     gen_dataset,
     participation_at,
     sample_client_profiles,
@@ -159,37 +159,44 @@ def test_dirichlet_errors():
 # --- label corruption ---------------------------------------------------------------
 
 
-def sample_data(n, seed):
-    return gen_dataset(DatasetSpec(), n, (0.5, 0.5), np.random.default_rng(seed))
+def client_data(rates, n, seed):
+    """``gen_client_datasets`` at the given per-client flip rates, one balanced set each."""
+    return gen_client_datasets(
+        DatasetSpec(), n, [(0.5, 0.5)] * len(rates), rates, np.random.default_rng(seed)
+    )
 
 
 def test_corrupt_rate_zero_and_one():
-    data = sample_data(400, 51)
-    same = corrupt_labels(data, 0.0, np.random.default_rng(52))
-    assert np.array_equal(same.labels, data.labels)
-    flipped = corrupt_labels(data, 1.0, np.random.default_rng(53))
-    assert np.array_equal(flipped.labels, 1 - data.labels)
+    clean = gen_dataset(DatasetSpec(), 400, (0.5, 0.5), np.random.default_rng(51))
+    [same] = client_data([0.0], 400, 51)
+    assert np.array_equal(same.labels, clean.labels)
+    [flipped] = client_data([1.0], 400, 51)
+    assert np.array_equal(flipped.labels, 1 - clean.labels)
 
 
 def test_corrupt_rate_matches_fraction():
-    data = sample_data(100_000, 54)
-    noisy = corrupt_labels(data, 0.3, np.random.default_rng(55))
-    frac = float(np.mean(noisy.labels != data.labels))
-    assert abs(frac - 0.3) < 0.02
+    # The draws do not depend on the rates, so rate 0 gives each client's
+    # unflipped labels; each client flips at its own rate.
+    rates = [0.1, 0.3, 0.6]
+    clean = client_data([0.0] * 3, 30_000, 54)
+    noisy = client_data(rates, 30_000, 54)
+    for before, after, rate in zip(clean, noisy, rates):
+        assert abs(float(np.mean(after.labels != before.labels)) - rate) < 0.02
 
 
 def test_corrupt_keeps_features():
-    data = sample_data(100, 56)
-    noisy = corrupt_labels(data, 0.5, np.random.default_rng(57))
-    assert noisy.features is data.features
+    # Labels flip after the class shift, so the features keep the true class.
+    clean = client_data([0.0, 0.0], 100, 56)
+    noisy = client_data([0.5, 1.0], 100, 56)
+    for before, after in zip(clean, noisy):
+        assert np.array_equal(after.features, before.features)
+    assert not np.array_equal(noisy[1].labels, clean[1].labels)
 
 
 def test_corrupt_rate_bounds():
-    data = sample_data(10, 58)
-    with pytest.raises(ValueError):
-        corrupt_labels(data, -0.1, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        corrupt_labels(data, 1.1, np.random.default_rng(0))
+    for rates in ([-0.1], [1.1], [0.5, float("nan")]):
+        with pytest.raises(ValueError, match="flip rates must be in"):
+            client_data(rates, 10, 0)
 
 
 # --- participation schedules ----------------------------------------------------------
@@ -306,6 +313,14 @@ def test_noise_spec_validation():
         NoiseSpec(-0.1)
     with pytest.raises(ValueError):
         NoiseSpec(1.5)
+
+
+def test_noise_spec_rejects_negative_zero():
+    # -0.0 equals 0.0, but sample_client_profiles' uniform(-level, level) rejects it.
+    with pytest.raises(ValueError, match=r"noise level must be in \[0,1\], got -0.0"):
+        NoiseSpec(-0.0)
+    assert NoiseSpec(0.0).level == 0.0 and NoiseSpec(0).level == 0
+    sample_client_profiles(3, NoiseSpec(0.0), np.random.default_rng(0))
 
 
 def test_labeled_dataset_validation():

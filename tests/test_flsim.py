@@ -16,7 +16,6 @@ from swarmfl.datagen import (
     NoiseSpec,
     ParticipationSchedule,
     PartitionSpec,
-    corrupt_labels,
     dirichlet_partition,
     gen_dataset,
     participation_at,
@@ -37,7 +36,6 @@ from swarmfl.flsim import (
     run_round,
     run_session,
     selection_size,
-    train_cohort,
 )
 from swarmfl.swarm import OptimizerParams
 
@@ -250,7 +248,7 @@ def test_local_train_argument_errors():
 
 
 def reference_local_train(params, data, lr, batch_size, rng):
-    """The one-client SGD loop that ``train_cohort`` must reproduce bit for bit."""
+    """The one-client SGD loop that every training path must reproduce bit for bit."""
     w = params.weights.copy()
     b = params.bias
     order = rng.permutation(len(data))
@@ -269,6 +267,8 @@ COHORT_LENGTHS = {
     "three": [50, 50, 50],
     "ten": [200] * 10,
     "unequal": [33, 50, 33, 8],
+    "seven": [33] * 7,
+    "singletons": [1, 1],
 }
 
 
@@ -276,33 +276,36 @@ COHORT_LENGTHS = {
 @pytest.mark.parametrize("cohort", COHORT_LENGTHS)
 @pytest.mark.parametrize("start", ["zeros", "nonzero"])
 def test_train_cohort_equals_training_each_client_alone(cohort, batch_size, start):
+    """``local_train`` on each client, and an equal-size cohort as the one
+    stack ``run_round`` trains, shuffled by a block drawn as ``_draw_round``
+    draws it, both give the reference loop's bits and generator state."""
     d = 10
-    datasets = [
-        random_dataset(n, d, seed=100 + i) for i, n in enumerate(COHORT_LENGTHS[cohort])
-    ]
+    lengths = COHORT_LENGTHS[cohort]
+    datasets = [random_dataset(n, d, seed=100 + i) for i, n in enumerate(lengths)]
     if start == "zeros":
         params = ModelParams.zeros(d)
     else:
         draw = np.random.default_rng(99)
         params = ModelParams(weights=draw.standard_normal(d), bias=float(draw.standard_normal()))
 
-    rng, mirror = np.random.default_rng(7), np.random.default_rng(7)
-    trained = train_cohort(params, datasets, 0.1, batch_size, rng)
-    assert len(trained) == len(datasets)
-    for out, data in zip(trained, datasets):
-        w, b = reference_local_train(params, data, 0.1, batch_size, mirror)
-        assert np.array_equal(out.weights, w)
-        assert out.bias == b
+    mirror = np.random.default_rng(7)
+    expected = [
+        np.append(*reference_local_train(params, data, 0.1, batch_size, mirror))
+        for data in datasets
+    ]
+    rng = np.random.default_rng(7)
+    for data, row in zip(datasets, expected):
+        out = local_train(params, data, 0.1, batch_size, rng)
+        assert same_bits(np.append(out.weights, out.bias), row)
     assert rng.bit_generator.state == mirror.bit_generator.state
-    single = local_train(params, datasets[0], 0.1, batch_size, np.random.default_rng(7))
-    assert np.array_equal(single.weights, trained[0].weights) and single.bias == trained[0].bias
 
-
-def test_train_cohort_rejects_an_empty_member():
-    empty = dataset(np.zeros((0, 3)), [])
-    with pytest.raises(ValueError, match="cannot train on an empty dataset"):
-        train_cohort(ModelParams.zeros(3), [random_dataset(5, 3, 17), empty], 0.1, 4,
-                     np.random.default_rng(18))
+    if len(set(lengths)) == 1:
+        k, m = len(lengths), lengths[0]
+        rng = np.random.default_rng(7)
+        orders = rng.permuted(np.broadcast_to(np.arange(m), (k, m)), axis=1)
+        trained = flsim._train_stack(params, datasets, orders, 0.1, batch_size)
+        assert same_bits(trained, np.array(expected))
+        assert rng.bit_generator.state == mirror.bit_generator.state
 
 
 def test_one_permuted_block_equals_sequential_permutations():
@@ -381,11 +384,14 @@ def test_fed_avg_singleton_and_permutation():
 def test_fed_avg_errors():
     p = ModelParams(weights=np.array([1.0]), bias=0.0)
     q = ModelParams(weights=np.array([1.0, 2.0]), bias=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one update"):
         fed_avg([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample counts must be >= 1"):
         fed_avg([(p, 0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sample counts must be >= 1"):
+        fed_avg([(p, 1), (p, 0)])
+    # numpy would refuse the ragged stack too, but with a message about shapes.
+    with pytest.raises(ValueError, match="parameter vectors must have equal length"):
         fed_avg([(p, 1), (q, 1)])
 
 
@@ -650,6 +656,12 @@ def test_build_clients_dirichlet_uses_drawn_proportions():
     dists = np.array([c.class_distribution for c in clients])
     assert np.allclose(dists.sum(axis=1), 1.0, atol=1e-9)
     assert np.std(dists[:, 0]) > 0.0  # not the flat iid split
+
+
+def corrupt_labels(data, flip_rate, rng):
+    """One client's label flips, as ``gen_client_datasets`` must draw and apply them."""
+    labels = np.where(rng.random(len(data)) < flip_rate, 1 - data.labels, data.labels)
+    return LabeledDataset(features=data.features, labels=labels)
 
 
 def reference_build_clients(config, rng):

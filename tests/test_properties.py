@@ -25,7 +25,7 @@ from swarmfl.fitness import (
     client_fitness,
     subset_objective,
 )
-from swarmfl.flsim import ModelParams, fed_avg, train_cohort
+from swarmfl.flsim import ModelParams, _train_stack, fed_avg
 from swarmfl.swarm import ALGORITHM_NAMES, OptimizerParams, SelectionProblem, bee, optimize
 from swarmfl.swarm.support import BatchObjective, decode_rows
 
@@ -287,12 +287,12 @@ def test_bee_change_rule_agrees_with_decoding(move):
 
 @st.composite
 def cohorts(draw):
-    """1-6 members of 1-80 samples, some lengths shared, over 1-12 features."""
+    """1-7 members of 1-80 samples each, all of one length, over 1-12 features."""
     d = draw(st.integers(1, 12))
-    lengths = draw(st.lists(st.integers(1, 80), min_size=1, max_size=3))
-    members = draw(st.lists(st.sampled_from(lengths), min_size=1, max_size=6))
+    m = draw(st.integers(1, 80))
+    k = draw(st.integers(1, 7))
     seed = draw(st.integers(0, 2**32 - 1))
-    return [random_dataset(m, d, seed + i) for i, m in enumerate(members)]
+    return [random_dataset(m, d, seed + i) for i in range(k)]
 
 
 @hypothesis.settings(max_examples=60, **SETTINGS)
@@ -304,6 +304,8 @@ def cohorts(draw):
     zeros=st.booleans(),
 )
 def test_train_cohort_equals_training_each_member_alone(cohort, batch_size, lr, seed, zeros):
+    # The stack run_round trains, shuffled by a block drawn as _draw_round
+    # draws it, against the one-client loop on each member in turn.
     d = cohort[0].features.shape[1]
     draw = np.random.default_rng(seed)
     params = (
@@ -311,12 +313,14 @@ def test_train_cohort_equals_training_each_member_alone(cohort, batch_size, lr, 
         if zeros
         else ModelParams(weights=draw.standard_normal(d), bias=float(draw.standard_normal()))
     )
+    k, m = len(cohort), len(cohort[0])
     rng, mirror = np.random.default_rng(seed), np.random.default_rng(seed)
-    trained = train_cohort(params, cohort, lr, batch_size, rng)
-    for out, data in zip(trained, cohort, strict=True):
+    orders = rng.permuted(np.broadcast_to(np.arange(m), (k, m)), axis=1)
+    trained = _train_stack(params, cohort, orders, lr, batch_size)
+    for row, data in zip(trained, cohort, strict=True):
         w, b = reference_local_train(params, data, lr, batch_size, mirror)
-        assert np.array_equal(out.weights, w)
-        assert out.bias == b
+        assert np.array_equal(row[:-1], w)
+        assert row[-1] == b
     assert rng.bit_generator.state == mirror.bit_generator.state
 
 
